@@ -20,16 +20,11 @@ from .signal import (
 from .transforms import (
     TransformKind,
     dft2,
-    dft2_naive,
-    dft_matrix,
     gabor_col,
     gabor_col_inverse,
-    gabor_col_naive,
     gabor_row,
     gabor_row_inverse,
-    gabor_row_naive,
     idft2,
-    idft2_naive,
 )
 from .probbounds import (
     TailBoundResult,
@@ -75,17 +70,12 @@ __all__ = [
     "support",
     "support_profile",
     "TransformKind",
-    "dft_matrix",
     "dft2",
-    "dft2_naive",
     "idft2",
-    "idft2_naive",
     "gabor_row",
-    "gabor_row_naive",
     "gabor_row_inverse",
     "gabor_col",
     "gabor_col_inverse",
-    "gabor_col_naive",
     "TailBoundResult",
     "binom_tail_upper",
     "binom_tail_lower",

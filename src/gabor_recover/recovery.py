@@ -9,7 +9,10 @@ values. Two orientations exist:
 * ``MinimizeFreqL1``: the observations are signal samples; find the signal
   whose spectrum has least L1 norm among those matching them.
 
-The solver is Douglas-Rachford splitting: alternating complex
+One engine solves both orientations. It works on the signal side only, and
+``MinimizeFreqL1`` enters it conjugated: the unitary DFT is symmetric, so
+``F^H u = conj(F conj(u))``, and conjugation keeps both the L1 norm and the
+soft threshold. The engine is Douglas-Rachford splitting: alternating complex
 soft-thresholding with projection onto the affine constraint set (one
 forward/inverse FFT pair per iteration, since the constraint operator is
 unitary). A support-identification polish runs alongside: least-squares on
@@ -109,12 +112,6 @@ class RecoveryProblem:
         vals.flags.writeable = False
         self.observed_values = vals
 
-    def observed_map(self) -> dict:
-        """The observed values as a position -> value map."""
-        mask = self.pattern.mask
-        ys, xs = np.nonzero(~mask)
-        return {(int(x), int(y)): complex(self.observed_values[y, x]) for x, y in zip(xs, ys)}
-
 
 @dataclass
 class RecoveryReport:
@@ -133,69 +130,83 @@ class RecoveryReport:
     recovered: Optional[Signal2D]
 
 
-def ds_condition(support_size: int, missing_size: int, n: int, t: int = 1) -> bool:
-    """Product test ``support_size * missing_size < n*t/2`` (strict)."""
-    if support_size < 0 or missing_size < 0:
+def ds_condition(support_size, missing_size, n: int, t: int = 1):
+    """Product test ``support_size * missing_size < n*t/2`` (strict).
+
+    The sizes may be integer arrays, tested elementwise into a bool array;
+    integer sizes give a ``bool``.
+    """
+    if np.any(np.asarray(support_size) < 0) or np.any(np.asarray(missing_size) < 0):
         raise ValueError("sizes must be non-negative")
     if n < 1 or t < 1:
         raise ValueError("grid dimensions must be positive")
-    return 2 * support_size * missing_size < n * t
+    held = 2 * support_size * missing_size < n * t
+    return held if isinstance(held, np.ndarray) else bool(held)
 
 
 # ----------------------------------------------------------------------------
-# solver engine
+# solver engine (signal orientation only; see _solve_oriented for the other)
 # ----------------------------------------------------------------------------
 
-_SIGNAL = L1Domain.MinimizeSignalL1
-_FREQ = L1Domain.MinimizeFreqL1
-
-
-def _forward(u: np.ndarray, domain: L1Domain) -> np.ndarray:
-    """Apply the unitary constraint operator (unknown -> measurement space)."""
+def _forward(u: np.ndarray) -> np.ndarray:
+    """Apply the unitary DFT along the last axis (unknown -> measurement space)."""
     n = u.shape[-1]
-    if domain is _SIGNAL:
-        return np.fft.fft(u, axis=-1) / math.sqrt(n)
-    return np.fft.ifft(u, axis=-1) * math.sqrt(n)
+    return np.fft.fft(u, axis=-1) / math.sqrt(n)
 
 
-def _adjoint(w: np.ndarray, domain: L1Domain) -> np.ndarray:
+def _adjoint(w: np.ndarray) -> np.ndarray:
     n = w.shape[-1]
-    if domain is _SIGNAL:
-        return np.fft.ifft(w, axis=-1) * math.sqrt(n)
-    return np.fft.fft(w, axis=-1) / math.sqrt(n)
+    return np.fft.ifft(w, axis=-1) * math.sqrt(n)
 
 
-def _constraint_submatrix(domain: L1Domain, n: int, obs_idx: np.ndarray,
-                          support: np.ndarray) -> np.ndarray:
-    """Constraint operator restricted to observed rows and support columns."""
-    sign = -1.0 if domain is _SIGNAL else 1.0
-    phases = sign * 2j * np.pi * np.outer(obs_idx, support) / n
+def _constraint_submatrix(n: int, obs_idx: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Unitary DFT matrix restricted to observed rows and support columns."""
+    phases = -2j * np.pi * np.outer(obs_idx, support) / n
     return np.exp(phases) / math.sqrt(n)
 
 
-def _observed_operator(domain: L1Domain, n: int, obs_idx: np.ndarray,
-                       cache: Optional[dict]) -> np.ndarray:
-    """Constraint operator restricted to observed rows, all ``n`` columns."""
-    if cache is None:
-        return _constraint_submatrix(domain, n, obs_idx, np.arange(n))
+def _observed_operator(n: int, obs_idx: np.ndarray, cache: dict) -> np.ndarray:
+    """Constraint operator restricted to observed rows, all ``n`` columns.
+
+    Memoised per observed pattern: small widths repeat their patterns across
+    rows, and building the matrix would otherwise dominate their polish.
+    """
     key = obs_idx.tobytes()
     mat = cache.get(key)
     if mat is None:
-        mat = _constraint_submatrix(domain, n, obs_idx, np.arange(n))
+        mat = _constraint_submatrix(n, obs_idx, np.arange(n))
         if len(cache) < 4096:
             cache[key] = mat
     return mat
 
 
-def _polish_row(x: np.ndarray, b: np.ndarray, obs_idx: np.ndarray,
-                domain: L1Domain, feas_tol: float, cache: Optional[dict] = None):
+def _support_fit(E: np.ndarray, support: np.ndarray, b_obs: np.ndarray):
+    """Least squares of ``b_obs`` on the ``support`` columns of ``E``.
+
+    Returns ``(A, coeffs, gram)``, where ``gram`` is None when ``lstsq`` stood
+    in for the normal equations, or None when the columns are rank deficient.
+    """
+    A = E[:, support]
+    gram = A.conj().T @ A
+    # Cholesky doubles as the full-rank test; the Gram of a certified
+    # instance is well conditioned, so normal equations are safe
+    try:
+        np.linalg.cholesky(gram)
+        return A, np.linalg.solve(gram, A.conj().T @ b_obs), gram
+    except np.linalg.LinAlgError:
+        coeffs, _, rank, _ = np.linalg.lstsq(A, b_obs, rcond=None)
+        return (A, coeffs, None) if rank == support.size else None
+
+
+def _polish_row(x: np.ndarray, b: np.ndarray, obs_idx: np.ndarray, feas_tol: float,
+                cache: dict):
     """Least-squares on the detected support, kept only with a dual certificate.
 
-    Returns ``(solution, residual)`` with the exact minimizer (full-length,
-    in the unknown's domain) or ``(None, 0.0)``. Acceptance needs: the
-    support system solvable with full column rank, feasibility within
-    ``feas_tol``, and a dual vector with unit-or-less modulus off the support
-    (so the candidate really minimizes the L1 norm).
+    Returns ``(solution, residual)`` with the exact minimizer (full-length)
+    or ``(None, 0.0)``. Acceptance needs: the support system solvable with
+    full column rank, feasibility within ``feas_tol``, and a dual vector with
+    unit-or-less modulus off the support (so the candidate really minimizes
+    the L1 norm).
     """
     n = x.shape[0]
     mag = np.abs(x)
@@ -203,7 +214,7 @@ def _polish_row(x: np.ndarray, b: np.ndarray, obs_idx: np.ndarray,
     if top == 0.0:
         return None, 0.0
     b_obs = b[obs_idx]
-    E = _observed_operator(domain, n, obs_idx, cache)
+    E = _observed_operator(n, obs_idx, cache)
     prev_size = -1
     for frac in (1e-2, 1e-4, 1e-6):
         support = np.nonzero(mag > frac * top)[0]
@@ -212,19 +223,11 @@ def _polish_row(x: np.ndarray, b: np.ndarray, obs_idx: np.ndarray,
         prev_size = support.size
         if support.size == 0 or support.size > obs_idx.size:
             continue
-        A = E[:, support]
-        gram = A.conj().T @ A
-        # Cholesky doubles as the full-rank test; the Gram of a certified
-        # instance is well conditioned, so normal equations are safe
-        try:
-            np.linalg.cholesky(gram)
-            coeffs = np.linalg.solve(gram, A.conj().T @ b_obs)
-        except np.linalg.LinAlgError:
-            gram = None
-            coeffs, _, rank, _ = np.linalg.lstsq(A, b_obs, rcond=None)
-            if rank < support.size:
-                continue
+        fit = _support_fit(E, support, b_obs)
+        if fit is None:
+            continue
         # drop numerically dead entries once, so the sign vector is meaningful
+        coeffs = fit[1]
         alive = np.abs(coeffs) > 1e-12 * max(np.abs(coeffs).max(), 1e-300)
         if not alive.all():
             support = support[alive]
@@ -232,16 +235,10 @@ def _polish_row(x: np.ndarray, b: np.ndarray, obs_idx: np.ndarray,
                 if np.abs(b_obs).max(initial=0.0) <= feas_tol:
                     return np.zeros(n, dtype=np.complex128), 0.0
                 continue
-            A = E[:, support]
-            gram = A.conj().T @ A
-            try:
-                np.linalg.cholesky(gram)
-                coeffs = np.linalg.solve(gram, A.conj().T @ b_obs)
-            except np.linalg.LinAlgError:
-                gram = None
-                coeffs, _, rank, _ = np.linalg.lstsq(A, b_obs, rcond=None)
-                if rank < support.size:
-                    continue
+            fit = _support_fit(E, support, b_obs)
+            if fit is None:
+                continue
+        A, coeffs, gram = fit
         residual = float(np.abs(A @ coeffs - b_obs).max(initial=0.0))
         if residual > feas_tol:
             continue
@@ -263,19 +260,35 @@ def _polish_row(x: np.ndarray, b: np.ndarray, obs_idx: np.ndarray,
     return None, 0.0
 
 
-def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, domain: L1Domain,
-                    *, tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER,
+def _dr_step(z: np.ndarray, gamma: np.ndarray, b: np.ndarray, obs: np.ndarray):
+    """One Douglas-Rachford step from ``z``; returns ``(x, y)``.
+
+    ``x`` is the soft-thresholded iterate and ``y`` the projection of its
+    reflection ``2x - z`` onto the observed constraints.
+    """
+    mag = np.abs(z)
+    x = z * np.maximum(1.0 - gamma / np.maximum(mag, 1e-300), 0.0)
+    aw = _forward(2.0 * x - z)
+    np.copyto(aw, b, where=obs)
+    return x, _adjoint(aw)
+
+
+def _observed_residual(u: np.ndarray, b: np.ndarray, obs_idx: np.ndarray) -> float:
+    """Max modulus of the constraint mismatch over the observed positions."""
+    return np.abs(_forward(u)[obs_idx] - b[obs_idx]).max(initial=0.0)
+
+
+def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
+                    tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER,
                     conv_tol: float = DEFAULT_CONV_TOL):
     """Solve a batch of independent 1D basis-pursuit instances.
 
-    ``values`` is ``(B, n)`` complex holding observed values (missing entries
-    are ignored); ``missing_mask`` is ``(B, n)`` bool. Returns
-    ``(solutions, converged, residuals, iterations)`` where solutions live in
-    the unknown's domain (signal for MinimizeSignalL1, spectrum for
-    MinimizeFreqL1) and residuals are max-modulus constraint mismatches.
+    ``values`` is ``(B, n)`` complex holding observed transform values
+    (missing entries are ignored); ``missing_mask`` is ``(B, n)`` bool.
+    Returns ``(signals, converged, residuals, iterations)``: per row, the
+    signal of least L1 norm matching the observations, and the max-modulus
+    constraint mismatch.
     """
-    if domain not in (_SIGNAL, _FREQ):
-        raise ValueError(f"unknown domain {domain!r}")
     missing = np.asarray(missing_mask, dtype=bool)
     vals = np.asarray(values, dtype=np.complex128)
     if vals.shape != missing.shape or vals.ndim != 2:
@@ -294,12 +307,12 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, domain: L1Doma
     # rows with every position observed invert directly
     full = obs.all(axis=1)
     if full.any():
-        sols[full] = _adjoint(b[full], domain)
+        sols[full] = _adjoint(b[full])
         conv[full] = True
 
     pending = ~full
     # rows whose observations are all zero: the zero vector is the unique minimizer
-    z0 = _adjoint(b[pending], domain)
+    z0 = _adjoint(b[pending])
     scale = np.abs(z0).max(axis=1) if z0.size else np.zeros(0)
     pend_idx = np.nonzero(pending)[0]
     zero_rows = pend_idx[scale == 0.0]
@@ -324,12 +337,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, domain: L1Doma
     while orig.size and it < max_iter:
         steps = min(check_every, max_iter - it)
         for _ in range(steps):
-            mag = np.abs(z)
-            x = z * np.maximum(1.0 - gamma / np.maximum(mag, 1e-300), 0.0)
-            w = 2.0 * x - z
-            aw = _forward(w, domain)
-            np.copyto(aw, bb, where=oo)
-            y = _adjoint(aw, domain)
+            x, y = _dr_step(z, gamma, bb, oo)
             dz = y - x
             z += dz
         it += steps
@@ -339,8 +347,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, domain: L1Doma
         for i in range(orig.size):
             row_done = False
             if delta[i] < 0.3 * sc[i] or it >= max_iter:
-                polished, pres = _polish_row(x[i], bb[i], obs_lists[i], domain,
-                                             feas[i], cache)
+                polished, pres = _polish_row(x[i], bb[i], obs_lists[i], feas[i], cache)
                 if polished is not None:
                     k = orig[i]
                     sols[k] = polished
@@ -350,12 +357,9 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, domain: L1Doma
                     row_done = True
             if not row_done and delta[i] <= conv_tol * sc[i]:
                 k = orig[i]
-                cand = y[i]
-                sols[k] = cand
+                sols[k] = y[i]
                 conv[k] = True
-                resid[k] = np.abs(
-                    _forward(cand[None, :], domain)[0, obs_lists[i]] - bb[i][obs_lists[i]]
-                ).max(initial=0.0)
+                resid[k] = _observed_residual(y[i], bb[i], obs_lists[i])
                 iters[k] = it
                 row_done = True
             finished[i] = row_done
@@ -372,35 +376,40 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, domain: L1Doma
 
     # budget exhausted: report a final feasible iterate without claiming convergence
     if orig.size:
-        mag = np.abs(z)
-        x = z * np.maximum(1.0 - gamma / np.maximum(mag, 1e-300), 0.0)
-        aw = _forward(2.0 * x - z, domain)
-        np.copyto(aw, bb, where=oo)
-        y = _adjoint(aw, domain)
-        for i in range(orig.size):
-            k = orig[i]
-            sols[k] = y[i]
-            conv[k] = False
-            resid[k] = np.abs(
-                _forward(y[i][None, :], domain)[0, obs_lists[i]] - bb[i][obs_lists[i]]
-            ).max(initial=0.0)
-            iters[k] = it
+        _, y = _dr_step(z, gamma, bb, oo)
+        sols[orig] = y
+        iters[orig] = it
+        for i, k in enumerate(orig):
+            resid[k] = _observed_residual(y[i], bb[i], obs_lists[i])
     return sols, conv, resid, iters
 
 
-def _unknown_to_signal(u: np.ndarray, domain: L1Domain) -> np.ndarray:
-    """Map the solver's unknown back to the signal domain."""
-    if domain is _SIGNAL:
-        return u
-    n = u.shape[-1]
-    return np.fft.ifft(u, axis=-1) * math.sqrt(n)
+def _solve_oriented(values, missing_mask, domain: L1Domain, tol: float, max_iter: int,
+                    conv_tol: float):
+    """Solve either orientation with the signal-side engine, returning signals.
+
+    ``MinimizeFreqL1`` is the conjugate of ``MinimizeSignalL1``. The unitary
+    DFT is symmetric, so ``F^H u = conj(F conj(u))``, and conjugation keeps
+    the L1 norm and the soft threshold. Matching samples ``s`` with the
+    spectrum ``u`` of least L1 norm is therefore the signal-side problem for
+    ``v = conj(u)`` against the data ``conj(s)``, and the signal is
+    ``F^H u = conj(F v)``.
+    """
+    if domain is L1Domain.MinimizeSignalL1:
+        return _solve_l1_batch(values, missing_mask, tol=tol, max_iter=max_iter,
+                               conv_tol=conv_tol)
+    if domain is L1Domain.MinimizeFreqL1:
+        sols, conv, resid, iters = _solve_l1_batch(np.conj(values), missing_mask, tol=tol,
+                                                   max_iter=max_iter, conv_tol=conv_tol)
+        return np.conj(_forward(sols)), conv, resid, iters
+    raise ValueError(f"unknown domain {domain!r}")
 
 
 # ----------------------------------------------------------------------------
 # public 1D operations
 # ----------------------------------------------------------------------------
 
-def l1_recover_1d(observed, missing, n: int, domain: L1Domain = _SIGNAL,
+def l1_recover_1d(observed, missing, n: int, domain: L1Domain = L1Domain.MinimizeSignalL1,
                   tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER,
                   conv_tol: float = DEFAULT_CONV_TOL):
     """Recover one length-``n`` signal from partial unitary-DFT data.
@@ -427,25 +436,23 @@ def l1_recover_1d(observed, missing, n: int, domain: L1Domain = _SIGNAL,
         vals[0, int(k)] = v
     mask = np.zeros((1, n), dtype=bool)
     mask[0, sorted(missing)] = True
-    sols, conv, _, _ = _solve_l1_batch(vals, mask, domain, tol=tol,
-                                       max_iter=max_iter, conv_tol=conv_tol)
+    sols, conv, _, _ = _solve_oriented(vals, mask, domain, tol, max_iter, conv_tol)
     if not conv[0]:
         return None
-    return _unknown_to_signal(sols[0], domain)
+    return sols[0]
 
 
 def l1_recover_many(values: np.ndarray, missing_mask: np.ndarray,
-                    domain: L1Domain = _SIGNAL, tol: float = DEFAULT_FEAS_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER, conv_tol: float = DEFAULT_CONV_TOL):
+                    domain: L1Domain = L1Domain.MinimizeSignalL1,
+                    tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                    conv_tol: float = DEFAULT_CONV_TOL):
     """Vectorized form of :func:`l1_recover_1d` over independent instances.
 
     Each row of ``values``/``missing_mask`` is one instance; per-row results
     match the scalar op exactly (the scalar op is this engine with B=1).
     Returns ``(signals, converged, residuals)``.
     """
-    sols, conv, resid, _ = _solve_l1_batch(values, missing_mask, domain, tol=tol,
-                                           max_iter=max_iter, conv_tol=conv_tol)
-    return _unknown_to_signal(sols, domain), conv, resid
+    return _solve_oriented(values, missing_mask, domain, tol, max_iter, conv_tol)[:3]
 
 
 def uniqueness_oracle_1d(support, missing, n: int) -> bool:
@@ -471,7 +478,7 @@ def uniqueness_oracle_1d(support, missing, n: int) -> bool:
     if not missing:
         # full unitary matrix: every column subset is orthonormal
         return True
-    sub = _constraint_submatrix(_SIGNAL, n, obs, np.array(support, dtype=int))
+    sub = _constraint_submatrix(n, obs, np.array(support, dtype=int))
     return int(np.linalg.matrix_rank(sub)) == len(support)
 
 
@@ -491,7 +498,7 @@ def _row_certificates(m_counts: np.ndarray, n: int, profile) -> np.ndarray:
         supports = np.asarray(profile.row_supports, dtype=int)
         if supports.shape != (t,):
             raise ValueError("profile row count does not match grid")
-        cert = cert | (2 * supports * m_counts < n)
+        cert = cert | ds_condition(supports, m_counts, n)
     return cert
 
 
@@ -515,23 +522,9 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
     m_counts = mask.sum(axis=1)
     b = np.where(mask, 0.0 + 0.0j, problem.observed_values)
 
-    out = np.zeros((t, n), dtype=np.complex128)
-    row_resid = np.zeros(t, dtype=float)
-    converged = np.zeros(t, dtype=bool)
-
-    direct = m_counts == 0
-    if direct.any():
-        out[direct] = np.fft.ifft(b[direct], axis=1) * math.sqrt(n)
-        converged[direct] = True
-
-    solve = (m_counts > 0) & (m_counts < n)
-    if solve.any():
-        sols, conv, resid, _ = _solve_l1_batch(b[solve], mask[solve], _SIGNAL,
-                                               tol=tol, max_iter=max_iter,
-                                               conv_tol=conv_tol)
-        out[solve] = sols
-        converged[solve] = conv
-        row_resid[solve] = resid
+    # the engine inverts erasure-free rows directly; fully erased rows fail below
+    out, converged, row_resid, _ = _solve_l1_batch(b, mask, tol=tol, max_iter=max_iter,
+                                                   conv_tol=conv_tol)
 
     cert = _row_certificates(m_counts, n, profile)
     recovered_rows = converged & (m_counts < n)
@@ -578,7 +571,8 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
 
     n, t = problem.dims.n, problem.dims.t
     k_missing = int((~row_ok).sum())
-    certified = col_transform_support_max is not None and 2 * k_missing * col_transform_support_max < t
+    certified = (col_transform_support_max is not None
+                 and ds_condition(k_missing, col_transform_support_max, t))
     attempt = certified or col_transform_support_max is None
 
     base = stage1.recovered.values if stage1.recovered is not None else np.zeros((t, n), complex)
@@ -586,11 +580,9 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     filled = np.zeros(n, dtype=bool)
     if attempt and row_ok.any():
         # every column shares the same missing rows; solve all of them at once
-        cols_vals = base.T.copy()            # (n, t): column x across rows
         cols_mask = np.broadcast_to(~row_ok, (n, t)).copy()
-        sols, conv, _, _ = _solve_l1_batch(cols_vals, cols_mask, _FREQ, tol=tol,
-                                           max_iter=max_iter, conv_tol=conv_tol)
-        repaired = _unknown_to_signal(sols, _FREQ)   # (n, t) completed columns
+        repaired, conv, _, _ = _solve_oriented(base.T, cols_mask, L1Domain.MinimizeFreqL1,
+                                               tol, max_iter, conv_tol)  # (n, t) columns
         filled = conv
         fail_rows = np.nonzero(~row_ok)[0]
         for x in np.nonzero(conv)[0]:

@@ -8,10 +8,8 @@ Three transform families, all unitary:
 * ``gabor_col`` / ``gabor_col_inverse``: 1D DFT applied to each length-``t`` column,
   normalized by ``1/sqrt(t)``.
 
-Forward transforms use the ``e^{-2 pi i}`` kernel, inverses the conjugate. The
-``*_naive`` functions evaluate the defining sums through explicit DFT matrices;
-they are the reference implementations and stay available for oracle testing.
-The plain functions use numpy's FFT with matching normalization.
+Forward transforms use the ``e^{-2 pi i}`` kernel, inverses the conjugate.
+All of them use numpy's FFT with matching normalization.
 """
 
 from __future__ import annotations
@@ -30,11 +28,6 @@ __all__ = [
     "gabor_row_inverse",
     "gabor_col",
     "gabor_col_inverse",
-    "dft2_naive",
-    "idft2_naive",
-    "gabor_row_naive",
-    "gabor_col_naive",
-    "dft_matrix",
 ]
 
 
@@ -46,19 +39,9 @@ class TransformKind(Enum):
     GaborCol = "GaborCol"
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n x n DFT matrix, ``F[m, x] = exp(-2j*pi*m*x/n)/sqrt(n)``."""
-    if n < 1:
-        raise ValueError("matrix order must be positive")
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
-
-
 def _wrap(signal: Signal2D, values: np.ndarray) -> Signal2D:
     return Signal2D(dims=signal.dims, values=values)
 
-
-# fast paths -----------------------------------------------------------------
 
 def gabor_row(signal: Signal2D) -> Signal2D:
     """Forward 1D unitary DFT of every row: output[y, m] = DFT_n(row y)[m]."""
@@ -92,29 +75,3 @@ def idft2(signal: Signal2D) -> Signal2D:
     n, t = signal.dims.n, signal.dims.t
     return _wrap(signal, np.fft.ifft2(signal.values) * np.sqrt(n * t))
 
-
-# naive reference paths ------------------------------------------------------
-
-def gabor_row_naive(signal: Signal2D) -> Signal2D:
-    """Row transform through the explicit DFT matrix (quadratic, reference)."""
-    F = dft_matrix(signal.dims.n)
-    # rows transform independently: out[y, m] = sum_x F[m, x] * values[y, x]
-    return _wrap(signal, signal.values @ F.T)
-
-
-def gabor_col_naive(signal: Signal2D) -> Signal2D:
-    F = dft_matrix(signal.dims.t)
-    return _wrap(signal, F @ signal.values)
-
-
-def dft2_naive(signal: Signal2D) -> Signal2D:
-    """2D transform by the defining double sum, evaluated via both DFT matrices."""
-    Fn = dft_matrix(signal.dims.n)
-    Ft = dft_matrix(signal.dims.t)
-    return _wrap(signal, Ft @ signal.values @ Fn.T)
-
-
-def idft2_naive(signal: Signal2D) -> Signal2D:
-    Fn = dft_matrix(signal.dims.n).conj()
-    Ft = dft_matrix(signal.dims.t).conj()
-    return _wrap(signal, Ft @ signal.values @ Fn.T)

@@ -27,6 +27,16 @@ def oracle_dft2(values: np.ndarray) -> np.ndarray:
     return phase_t @ values @ phase_n.T / np.sqrt(n * t)
 
 
+def oracle_idft2(values: np.ndarray) -> np.ndarray:
+    """Inverse unitary 2D DFT: the defining double sum with the conjugate kernel."""
+    t, n = values.shape
+    mx = np.arange(n)
+    ky = np.arange(t)
+    phase_n = np.exp(2j * np.pi * np.outer(mx, mx) / n)
+    phase_t = np.exp(2j * np.pi * np.outer(ky, ky) / t)
+    return phase_t @ values @ phase_n.T / np.sqrt(n * t)
+
+
 def oracle_dft2_loops(values: np.ndarray) -> np.ndarray:
     """Literal quadruple-loop double sum; tiny grids only."""
     t, n = values.shape

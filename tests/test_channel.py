@@ -162,8 +162,8 @@ class TestApplyErasure:
         finite = ~np.isnan(prob.observed_values)
         assert np.array_equal(finite, ~pat.mask)
         assert np.array_equal(prob.observed_values[finite], sig.values[finite])
-        observed = prob.observed_map()
-        assert set(observed) == {
+        ys, xs = np.nonzero(finite)
+        assert set(zip(xs.tolist(), ys.tolist())) == {
             (x, y) for x in range(4) for y in range(3) if (x, y) not in pat.missing
         }
 
