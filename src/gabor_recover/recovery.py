@@ -17,7 +17,9 @@ soft-thresholding with projection onto the affine constraint set (one
 forward/inverse FFT pair per iteration, since the constraint operator is
 unitary). A support-identification polish runs alongside: least-squares on
 the detected support, accepted only when the result is feasible and a dual
-vector certifies L1 optimality. The engine is vectorized over independent
+vector certifies L1 optimality. Each solve builds the width's unitary DFT
+matrix once, and the polish slices a row's observed rows from it; nothing is
+kept between solves. The engine is vectorized over independent
 instances; per-instance behavior is identical to solving one at a time.
 
 Row-wise recovery applies the solve to each row of a grid independently,
@@ -165,21 +167,6 @@ def _constraint_submatrix(n: int, obs_idx: np.ndarray, support: np.ndarray) -> n
     return np.exp(phases) / math.sqrt(n)
 
 
-def _observed_operator(n: int, obs_idx: np.ndarray, cache: dict) -> np.ndarray:
-    """Constraint operator restricted to observed rows, all ``n`` columns.
-
-    Memoised per observed pattern: small widths repeat their patterns across
-    rows, and building the matrix would otherwise dominate their polish.
-    """
-    key = obs_idx.tobytes()
-    mat = cache.get(key)
-    if mat is None:
-        mat = _constraint_submatrix(n, obs_idx, np.arange(n))
-        if len(cache) < 4096:
-            cache[key] = mat
-    return mat
-
-
 def _support_fit(E: np.ndarray, support: np.ndarray, b_obs: np.ndarray):
     """Least squares of ``b_obs`` on the ``support`` columns of ``E``.
 
@@ -198,10 +185,12 @@ def _support_fit(E: np.ndarray, support: np.ndarray, b_obs: np.ndarray):
         return (A, coeffs, None) if rank == support.size else None
 
 
-def _polish_row(x: np.ndarray, b: np.ndarray, obs_idx: np.ndarray, feas_tol: float,
-                cache: dict):
+def _polish_row(x: np.ndarray, b: np.ndarray, obs: np.ndarray, F: np.ndarray,
+                feas_tol: float):
     """Least-squares on the detected support, kept only with a dual certificate.
 
+    ``obs`` is the row's boolean observed mask and ``F`` the width's unitary
+    DFT matrix, whose observed rows are the constraint operator.
     Returns ``(solution, residual)`` with the exact minimizer (full-length)
     or ``(None, 0.0)``. Acceptance needs: the support system solvable with
     full column rank, feasibility within ``feas_tol``, and a dual vector with
@@ -213,15 +202,15 @@ def _polish_row(x: np.ndarray, b: np.ndarray, obs_idx: np.ndarray, feas_tol: flo
     top = mag.max()
     if top == 0.0:
         return None, 0.0
-    b_obs = b[obs_idx]
-    E = _observed_operator(n, obs_idx, cache)
+    b_obs = b[obs]
+    E = F[obs]
     prev_size = -1
     for frac in (1e-2, 1e-4, 1e-6):
         support = np.nonzero(mag > frac * top)[0]
         if support.size == prev_size:
             continue
         prev_size = support.size
-        if support.size == 0 or support.size > obs_idx.size:
+        if support.size == 0 or support.size > b_obs.size:
             continue
         fit = _support_fit(E, support, b_obs)
         if fit is None:
@@ -260,22 +249,23 @@ def _polish_row(x: np.ndarray, b: np.ndarray, obs_idx: np.ndarray, feas_tol: flo
     return None, 0.0
 
 
-def _dr_step(z: np.ndarray, gamma: np.ndarray, b: np.ndarray, obs: np.ndarray):
+def _dr_step(z: np.ndarray, scale: np.ndarray, b: np.ndarray, obs: np.ndarray):
     """One Douglas-Rachford step from ``z``; returns ``(x, y)``.
 
-    ``x`` is the soft-thresholded iterate and ``y`` the projection of its
-    reflection ``2x - z`` onto the observed constraints.
+    ``x`` is ``z`` soft-thresholded at a quarter of each row's ``scale``, and
+    ``y`` the projection of its reflection ``2x - z`` onto the observed
+    constraints.
     """
     mag = np.abs(z)
-    x = z * np.maximum(1.0 - gamma / np.maximum(mag, 1e-300), 0.0)
+    x = z * np.maximum(1.0 - 0.25 * scale[:, None] / np.maximum(mag, 1e-300), 0.0)
     aw = _forward(2.0 * x - z)
     np.copyto(aw, b, where=obs)
     return x, _adjoint(aw)
 
 
-def _observed_residual(u: np.ndarray, b: np.ndarray, obs_idx: np.ndarray) -> float:
-    """Max modulus of the constraint mismatch over the observed positions."""
-    return np.abs(_forward(u)[obs_idx] - b[obs_idx]).max(initial=0.0)
+def _observed_residual(u: np.ndarray, b: np.ndarray, obs: np.ndarray):
+    """Per row, max modulus of the constraint mismatch where ``obs`` is set (0 if nowhere)."""
+    return np.where(obs, np.abs(_forward(u) - b), 0.0).max(axis=-1)
 
 
 def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
@@ -323,21 +313,19 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     if orig.size == 0:
         return sols, conv, resid, iters
 
+    F = _constraint_submatrix(n, np.arange(n), np.arange(n))
     z = z0[act]
     bb = b[orig]
     oo = obs[orig]
     sc = scale[act]
-    gamma = (0.25 * sc)[:, None]
     feas = tol * np.maximum(1.0, np.abs(bb).max(axis=1))
-    obs_lists = [np.nonzero(row)[0] for row in oo]
 
     it = 0
     check_every = 8
-    cache: dict = {}
     while orig.size and it < max_iter:
         steps = min(check_every, max_iter - it)
         for _ in range(steps):
-            x, y = _dr_step(z, gamma, bb, oo)
+            x, y = _dr_step(z, sc, bb, oo)
             dz = y - x
             z += dz
         it += steps
@@ -347,7 +335,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
         for i in range(orig.size):
             row_done = False
             if delta[i] < 0.3 * sc[i] or it >= max_iter:
-                polished, pres = _polish_row(x[i], bb[i], obs_lists[i], feas[i], cache)
+                polished, pres = _polish_row(x[i], bb[i], oo[i], F, feas[i])
                 if polished is not None:
                     k = orig[i]
                     sols[k] = polished
@@ -359,7 +347,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
                 k = orig[i]
                 sols[k] = y[i]
                 conv[k] = True
-                resid[k] = _observed_residual(y[i], bb[i], obs_lists[i])
+                resid[k] = _observed_residual(y[i], bb[i], oo[i])
                 iters[k] = it
                 row_done = True
             finished[i] = row_done
@@ -370,17 +358,14 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
             bb = bb[keep]
             oo = oo[keep]
             sc = sc[keep]
-            gamma = gamma[keep]
             feas = feas[keep]
-            obs_lists = [l for l, k in zip(obs_lists, keep) if k]
 
     # budget exhausted: report a final feasible iterate without claiming convergence
     if orig.size:
-        _, y = _dr_step(z, gamma, bb, oo)
+        _, y = _dr_step(z, sc, bb, oo)
         sols[orig] = y
         iters[orig] = it
-        for i, k in enumerate(orig):
-            resid[k] = _observed_residual(y[i], bb[i], obs_lists[i])
+        resid[orig] = _observed_residual(y, bb, oo)
     return sols, conv, resid, iters
 
 
@@ -456,11 +441,15 @@ def l1_recover_many(values: np.ndarray, missing_mask: np.ndarray,
 
 
 def uniqueness_oracle_1d(support, missing, n: int) -> bool:
-    """Whether the observed positions pin down any signal on this support.
+    """Whether the observed positions numerically pin down any signal on this support.
 
-    Rank test: the unitary DFT submatrix with non-missing transform rows and
-    the given support columns must have full column rank. Independent of the
-    L1 solver; used as its ground-truth check.
+    Numerical rank test: the unitary DFT submatrix with non-missing transform
+    rows and the given support columns must have full column rank at
+    ``np.linalg.matrix_rank``'s default tolerance. That is well-posedness in
+    floating point, not exact uniqueness: at prime widths every such
+    submatrix has full rank (Chebotarev), yet at ``n = 257`` some
+    contiguous missing blocks with ``|support| = n - |missing|`` are
+    rejected. Independent of the L1 solver; used as its ground-truth check.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -520,11 +509,11 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
     n, t = problem.dims.n, problem.dims.t
     mask = problem.pattern.mask
     m_counts = mask.sum(axis=1)
-    b = np.where(mask, 0.0 + 0.0j, problem.observed_values)
 
-    # the engine inverts erasure-free rows directly; fully erased rows fail below
-    out, converged, row_resid, _ = _solve_l1_batch(b, mask, tol=tol, max_iter=max_iter,
-                                                   conv_tol=conv_tol)
+    # the engine ignores the NaN at missing positions and inverts erasure-free
+    # rows directly; fully erased rows fail below
+    out, converged, row_resid, _ = _solve_l1_batch(problem.observed_values, mask, tol=tol,
+                                                   max_iter=max_iter, conv_tol=conv_tol)
 
     cert = _row_certificates(m_counts, n, profile)
     recovered_rows = converged & (m_counts < n)
@@ -596,15 +585,9 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     # consistency: repaired rows must match their own surviving observations
     mask = problem.pattern.mask
     b = np.where(mask, 0.0 + 0.0j, problem.observed_values)
-    demoted = []
-    for a in np.nonzero(repaired_rows)[0]:
-        obs_idx = np.nonzero(~mask[a])[0]
-        if obs_idx.size:
-            got = np.fft.fft(out[a]) / math.sqrt(n)
-            err = np.abs(got[obs_idx] - b[a, obs_idx]).max()
-            if err > tol * max(1.0, np.abs(b[a, obs_idx]).max()):
-                repaired_rows[a] = False
-                demoted.append(a)
+    row_err = _observed_residual(out, b, ~mask)
+    demoted = repaired_rows & (row_err > tol * np.maximum(1.0, np.abs(b).max(axis=1)))
+    repaired_rows &= ~demoted
 
     final_ok = row_ok | repaired_rows
     out[~final_ok] = 0.0
@@ -613,13 +596,8 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     )
 
     # residual across all recovered rows, against the original observations
-    residual = 0.0
-    if final_ok.any():
-        got = np.fft.fft(out[final_ok], axis=1) / math.sqrt(n)
-        keep = ~mask[final_ok]
-        if keep.any():
-            residual = float(np.abs(got[keep] - b[final_ok][keep]).max())
-    col_guarantee = bool(certified) and not demoted
+    residual = float(row_err[final_ok].max(initial=0.0))
+    col_guarantee = bool(certified) and not demoted.any()
     signal = Signal2D(dims=problem.dims, values=out) if final_ok.any() else None
     return RecoveryReport(
         stage=RecoveryStage.RowThenColumn,
