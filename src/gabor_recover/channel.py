@@ -115,12 +115,10 @@ def apply_erasure(transform: Signal2D, pattern: ErasurePattern,
         raise ValueError(
             f"transform dims {transform.dims} do not match pattern dims {pattern.dims}"
         )
-    observed = transform.values.copy()
-    observed[pattern.mask] = complex(np.nan, np.nan)
     return RecoveryProblem(
         dims=transform.dims,
         kind=kind,
-        observed_values=observed,
+        observed_values=transform.values,
         pattern=pattern,
     )
 

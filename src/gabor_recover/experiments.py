@@ -1,13 +1,13 @@
 """Monte Carlo experiment harness.
 
-Each experiment runs seeded trials of the pipeline: draw a structured random
-signal, take its row transform, push it through the erasure channel, then
-either record erasure statistics (the sweep modes) or run a recovery and
-compare against ground truth. Summaries carry empirical frequencies with
-Wilson intervals next to the matching closed forms, and trial records
-serialize to CSV for external tooling. Identical configs produce
-byte-identical artifacts; per-trial seeds derive from the base seed so any
-single trial can be re-run in isolation.
+Each experiment runs seeded trials of the pipeline: draw an erasure pattern,
+then either record its statistics (the sweep modes, which draw no signal)
+or draw a structured random signal, push its row transform through the
+erasure channel, run a recovery and compare against ground truth.
+Summaries carry empirical frequencies with Wilson intervals next to the
+matching closed forms, and trial records serialize to CSV for external
+tooling. Identical configs produce byte-identical artifacts; per-trial seeds
+derive from the base seed so any single trial can be re-run in isolation.
 """
 
 from __future__ import annotations
@@ -104,6 +104,10 @@ class ExperimentConfig:
             raise ValueError(f"mode must be an ExperimentMode, got {self.mode!r}")
         if not isinstance(self.profile_shape, ProfileShape):
             raise ValueError(f"profile_shape must be a ProfileShape, got {self.profile_shape!r}")
+        # every trial mode checks the shape, sweeps too, though they draw no signal
+        if (self.profile_shape is ProfileShape.SkewedRows
+                and self.mode is not ExperimentMode.TailBounds):
+            _skewed_levels(self.dims.t, self.e_max_target)
         sweep = tuple(int(v) for v in self.sweep)
         if any(b <= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("sweep values must be strictly increasing")
@@ -146,6 +150,18 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 # signal generation
 # ----------------------------------------------------------------------------
 
+def _skewed_levels(t: int, e_max_target: int) -> int:
+    """``log2(t)``, the dyadic levels of a SkewedRows signal; ValueError if it cannot be drawn."""
+    levels = t.bit_length() - 1
+    if t < 4 or (1 << levels) != t:
+        raise ValueError(f"SkewedRows needs t to be a power of two >= 4, got t={t}")
+    if e_max_target < levels:
+        raise ValueError(
+            f"SkewedRows needs e_max_target >= log2(t)={levels}, got {e_max_target}"
+        )
+    return levels
+
+
 def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
                          profile_shape: ProfileShape = ProfileShape.UniformRows) -> Signal2D:
     """Draw a structured random signal with a prescribed max row support.
@@ -175,13 +191,7 @@ def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
     if profile_shape is not ProfileShape.SkewedRows:
         raise ValueError(f"unknown profile shape {profile_shape!r}")
 
-    levels = t.bit_length() - 1
-    if t < 4 or (1 << levels) != t:
-        raise ValueError(f"SkewedRows needs t to be a power of two >= 4, got t={t}")
-    if e_max_target < levels:
-        raise ValueError(
-            f"SkewedRows needs e_max_target >= log2(t)={levels}, got {e_max_target}"
-        )
+    levels = _skewed_levels(t, e_max_target)
     cols = rng.choice(n, size=e_max_target, replace=False)
     dense_row = int(rng.integers(t))
     # one column per dyadic level first, extras rotate from the largest coset down
@@ -210,15 +220,15 @@ def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
 
 def _run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
     trial_seed = config.base_seed + index
-    signal = generate_test_signal(config.dims, config.e_max_target,
-                                  2 * trial_seed, config.profile_shape)
     pattern = sample_erasure(config.dims, config.theta, 2 * trial_seed + 1)
     stats = erasure_stats(pattern)
-
     if config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep):
         return TrialRecord(seed=trial_seed, m_max=stats.m_max, m_min=stats.m_min,
                            rows_recovered=0, exact_recovery=False, residual=0.0)
 
+    # the signal and the pattern draw from separate seeds, so their order is free
+    signal = generate_test_signal(config.dims, config.e_max_target,
+                                  2 * trial_seed, config.profile_shape)
     problem = apply_erasure(gabor_row(signal), pattern)
     if config.mode is ExperimentMode.RowRecovery:
         report = recover_rows(problem, profile=support_profile(signal), tol=config.tol)

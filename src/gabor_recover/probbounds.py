@@ -58,7 +58,9 @@ def binom_tail_upper(n: int, theta: float, threshold: float) -> float:
     """P(X >= threshold) for X ~ Binomial(n, theta).
 
     Summation starts at ``ceil(threshold)`` (snapped); thresholds at or below
-    zero give 1, thresholds above ``n`` give 0.
+    zero give 1, thresholds above ``n`` give 0. It stops at the first term
+    past the mode that underflows to 0.0: the pmf only falls from there, so
+    every later term is 0.0 as well and the sum is unchanged.
     """
     _validate_n_theta(n, theta)
     j = _ceil_snapped(threshold)
@@ -70,7 +72,12 @@ def binom_tail_upper(n: int, theta: float, threshold: float) -> float:
         return 0.0  # X is identically 0 and j >= 1
     if theta == 1.0:
         return 1.0  # X is identically n and j <= n
-    terms = [math.exp(_log_pmf(n, y, theta)) for y in range(j, n + 1)]
+    terms = []
+    for y in range(j, n + 1):
+        term = math.exp(_log_pmf(n, y, theta))
+        if term == 0.0 and y > n * theta:
+            break
+        terms.append(term)
     return min(1.0, math.fsum(terms))
 
 

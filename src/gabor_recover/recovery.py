@@ -108,7 +108,7 @@ class RecoveryProblem:
             raise ValueError(f"kind must be a TransformKind, got {self.kind!r}")
         mask = self.pattern.mask
         kept = vals[~mask]
-        if kept.size and not (np.all(np.isfinite(kept.real)) and np.all(np.isfinite(kept.imag))):
+        if not np.all(np.isfinite(kept)):
             raise ValueError("observed values must be finite at non-missing positions")
         vals[mask] = complex(np.nan, np.nan)
         vals.flags.writeable = False
@@ -210,7 +210,7 @@ def _polish_row(x: np.ndarray, b: np.ndarray, obs: np.ndarray, F: np.ndarray,
         if support.size == prev_size:
             continue
         prev_size = support.size
-        if support.size == 0 or support.size > b_obs.size:
+        if support.size > b_obs.size:
             continue
         fit = _support_fit(E, support, b_obs)
         if fit is None:
@@ -237,11 +237,12 @@ def _polish_row(x: np.ndarray, b: np.ndarray, obs: np.ndarray, F: np.ndarray,
             lam = A @ np.linalg.solve(gram, signs)
         else:
             lam, _, _, _ = np.linalg.lstsq(A.conj().T, signs, rcond=None)
-        if np.abs(A.conj().T @ lam - signs).max(initial=0.0) > 1e-8:
+        # "not <=" so that NaN signs (an exact-0 refit coefficient) fail both checks
+        if not np.abs(A.conj().T @ lam - signs).max(initial=0.0) <= 1e-8:
             continue
         dual = E.conj().T @ lam
         dual[support] = 0.0
-        if np.abs(dual).max(initial=0.0) > 1.0 + 1e-7:
+        if not np.abs(dual).max(initial=0.0) <= 1.0 + 1e-7:
             continue
         out = np.zeros(n, dtype=np.complex128)
         out[support] = coeffs
@@ -269,8 +270,7 @@ def _observed_residual(u: np.ndarray, b: np.ndarray, obs: np.ndarray):
 
 
 def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
-                    tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    conv_tol: float = DEFAULT_CONV_TOL):
+                    tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Solve a batch of independent 1D basis-pursuit instances.
 
     ``values`` is ``(B, n)`` complex holding observed transform values
@@ -286,7 +286,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     B, n = vals.shape
     obs = ~missing
     b = np.where(obs, vals, 0.0 + 0.0j)
-    if not np.all(np.isfinite(b.real)) or not np.all(np.isfinite(b.imag)):
+    if not np.all(np.isfinite(b)):
         raise ValueError("observed values must be finite")
 
     sols = np.zeros((B, n), dtype=np.complex128)
@@ -331,34 +331,28 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
         it += steps
 
         delta = np.abs(dz).max(axis=1)
-        finished = np.zeros(orig.size, dtype=bool)
-        for i in range(orig.size):
-            row_done = False
-            if delta[i] < 0.3 * sc[i] or it >= max_iter:
-                polished, pres = _polish_row(x[i], bb[i], oo[i], F, feas[i])
-                if polished is not None:
-                    k = orig[i]
-                    sols[k] = polished
-                    conv[k] = True
-                    resid[k] = pres
-                    iters[k] = it
-                    row_done = True
-            if not row_done and delta[i] <= conv_tol * sc[i]:
+        done = np.zeros(orig.size, dtype=bool)
+        for i in np.nonzero((delta < 0.3 * sc) | (it >= max_iter))[0]:
+            polished, pres = _polish_row(x[i], bb[i], oo[i], F, feas[i])
+            if polished is not None:
                 k = orig[i]
-                sols[k] = y[i]
+                sols[k] = polished
                 conv[k] = True
-                resid[k] = _observed_residual(y[i], bb[i], oo[i])
+                resid[k] = pres
                 iters[k] = it
-                row_done = True
-            finished[i] = row_done
-        if finished.any():
-            keep = ~finished
-            orig = orig[keep]
-            z = z[keep]
-            bb = bb[keep]
-            oo = oo[keep]
-            sc = sc[keep]
-            feas = feas[keep]
+                done[i] = True
+        # rows the polish did not take settle on the DR iterate once it stalls
+        settled = ~done & (delta <= DEFAULT_CONV_TOL * sc)
+        if settled.any():
+            k = orig[settled]
+            sols[k] = y[settled]
+            conv[k] = True
+            resid[k] = _observed_residual(y[settled], bb[settled], oo[settled])
+            iters[k] = it
+            done |= settled
+        if done.any():
+            keep = ~done
+            orig, z, bb, oo, sc, feas = (a[keep] for a in (orig, z, bb, oo, sc, feas))
 
     # budget exhausted: report a final feasible iterate without claiming convergence
     if orig.size:
@@ -369,8 +363,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     return sols, conv, resid, iters
 
 
-def _solve_oriented(values, missing_mask, domain: L1Domain, tol: float, max_iter: int,
-                    conv_tol: float):
+def _solve_oriented(values, missing_mask, domain: L1Domain, tol: float, max_iter: int):
     """Solve either orientation with the signal-side engine, returning signals.
 
     ``MinimizeFreqL1`` is the conjugate of ``MinimizeSignalL1``. The unitary
@@ -381,11 +374,10 @@ def _solve_oriented(values, missing_mask, domain: L1Domain, tol: float, max_iter
     ``F^H u = conj(F v)``.
     """
     if domain is L1Domain.MinimizeSignalL1:
-        return _solve_l1_batch(values, missing_mask, tol=tol, max_iter=max_iter,
-                               conv_tol=conv_tol)
+        return _solve_l1_batch(values, missing_mask, tol=tol, max_iter=max_iter)
     if domain is L1Domain.MinimizeFreqL1:
         sols, conv, resid, iters = _solve_l1_batch(np.conj(values), missing_mask, tol=tol,
-                                                   max_iter=max_iter, conv_tol=conv_tol)
+                                                   max_iter=max_iter)
         return np.conj(_forward(sols)), conv, resid, iters
     raise ValueError(f"unknown domain {domain!r}")
 
@@ -395,8 +387,7 @@ def _solve_oriented(values, missing_mask, domain: L1Domain, tol: float, max_iter
 # ----------------------------------------------------------------------------
 
 def l1_recover_1d(observed, missing, n: int, domain: L1Domain = L1Domain.MinimizeSignalL1,
-                  tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                  conv_tol: float = DEFAULT_CONV_TOL):
+                  tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Recover one length-``n`` signal from partial unitary-DFT data.
 
     ``observed`` maps positions to complex values and must cover exactly the
@@ -421,7 +412,7 @@ def l1_recover_1d(observed, missing, n: int, domain: L1Domain = L1Domain.Minimiz
         vals[0, int(k)] = v
     mask = np.zeros((1, n), dtype=bool)
     mask[0, sorted(missing)] = True
-    sols, conv, _, _ = _solve_oriented(vals, mask, domain, tol, max_iter, conv_tol)
+    sols, conv, _, _ = _solve_oriented(vals, mask, domain, tol, max_iter)
     if not conv[0]:
         return None
     return sols[0]
@@ -429,15 +420,14 @@ def l1_recover_1d(observed, missing, n: int, domain: L1Domain = L1Domain.Minimiz
 
 def l1_recover_many(values: np.ndarray, missing_mask: np.ndarray,
                     domain: L1Domain = L1Domain.MinimizeSignalL1,
-                    tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    conv_tol: float = DEFAULT_CONV_TOL):
+                    tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Vectorized form of :func:`l1_recover_1d` over independent instances.
 
     Each row of ``values``/``missing_mask`` is one instance; per-row results
     match the scalar op exactly (the scalar op is this engine with B=1).
     Returns ``(signals, converged, residuals)``.
     """
-    return _solve_oriented(values, missing_mask, domain, tol, max_iter, conv_tol)[:3]
+    return _solve_oriented(values, missing_mask, domain, tol, max_iter)[:3]
 
 
 def uniqueness_oracle_1d(support, missing, n: int) -> bool:
@@ -492,8 +482,7 @@ def _row_certificates(m_counts: np.ndarray, n: int, profile) -> np.ndarray:
 
 
 def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FEAS_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 conv_tol: float = DEFAULT_CONV_TOL) -> RecoveryReport:
+                 max_iter: int = DEFAULT_MAX_ITER) -> RecoveryReport:
     """Recover every row of a row-transform grid independently.
 
     Each row with erasures is solved by signal-side L1 minimization against
@@ -513,7 +502,7 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
     # the engine ignores the NaN at missing positions and inverts erasure-free
     # rows directly; fully erased rows fail below
     out, converged, row_resid, _ = _solve_l1_batch(problem.observed_values, mask, tol=tol,
-                                                   max_iter=max_iter, conv_tol=conv_tol)
+                                                   max_iter=max_iter)
 
     cert = _row_certificates(m_counts, n, profile)
     recovered_rows = converged & (m_counts < n)
@@ -537,8 +526,8 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
 
 
 def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optional[int] = None,
-                      tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                      conv_tol: float = DEFAULT_CONV_TOL) -> RecoveryReport:
+                      tol: float = DEFAULT_FEAS_TOL,
+                      max_iter: int = DEFAULT_MAX_ITER) -> RecoveryReport:
     """Row-wise recovery, then column-wise repair of rows that produced nothing.
 
     Stage 1 is :func:`recover_rows` without side information. If any rows
@@ -552,8 +541,7 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     """
     if col_transform_support_max is not None and col_transform_support_max < 1:
         raise ValueError("col_transform_support_max must be a positive integer")
-    stage1 = recover_rows(problem, profile=None, tol=tol, max_iter=max_iter,
-                          conv_tol=conv_tol)
+    stage1 = recover_rows(problem, profile=None, tol=tol, max_iter=max_iter)
     row_ok = np.array([s is RowStatus.Recovered for s in stage1.row_status], dtype=bool)
     if row_ok.all():
         return stage1
@@ -564,23 +552,16 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
                  and ds_condition(k_missing, col_transform_support_max, t))
     attempt = certified or col_transform_support_max is None
 
-    base = stage1.recovered.values if stage1.recovered is not None else np.zeros((t, n), complex)
-    out = base.copy()
-    filled = np.zeros(n, dtype=bool)
-    if attempt and row_ok.any():
-        # every column shares the same missing rows; solve all of them at once
-        cols_mask = np.broadcast_to(~row_ok, (n, t)).copy()
-        repaired, conv, _, _ = _solve_oriented(base.T, cols_mask, L1Domain.MinimizeFreqL1,
-                                               tol, max_iter, conv_tol)  # (n, t) columns
-        filled = conv
-        fail_rows = np.nonzero(~row_ok)[0]
-        for x in np.nonzero(conv)[0]:
-            out[fail_rows, x] = repaired[x, fail_rows]
-
-    # a failed row is repaired only if every column produced its entry
+    out = np.zeros((t, n), complex) if stage1.recovered is None else stage1.recovered.values.copy()
     repaired_rows = np.zeros(t, dtype=bool)
-    if attempt and filled.all() and filled.size == n:
-        repaired_rows = ~row_ok
+    if attempt and row_ok.any():
+        # every column shares the same missing rows: solve them all at once, and
+        # repair the failed rows only if every column produced its entries
+        cols, conv, _, _ = _solve_oriented(out.T, np.broadcast_to(~row_ok, (n, t)),
+                                           L1Domain.MinimizeFreqL1, tol, max_iter)
+        if conv.all():
+            repaired_rows = ~row_ok
+            out[repaired_rows] = cols.T[repaired_rows]
 
     # consistency: repaired rows must match their own surviving observations
     mask = problem.pattern.mask

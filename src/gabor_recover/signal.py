@@ -67,7 +67,7 @@ class Signal2D:
                 f"values shape {vals.shape} does not match dims "
                 f"(t={self.dims.t}, n={self.dims.n})"
             )
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        if not np.all(np.isfinite(vals)):
             raise ValueError("signal entries must be finite")
         vals = vals.copy()
         vals.flags.writeable = False

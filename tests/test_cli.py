@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,10 +143,14 @@ class TestTransformCommand:
 def test_module_entry_point(tmp_path):
     src = tmp_path / "sig.json"
     src.write_text(delta_signal_json())
+    # the subprocess imports the package from this checkout, installed or not
+    checkout_src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=checkout_src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "gabor_recover", "transform",
          "--input", str(src), "--kind", "fourier2d"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     out = signal_from_json(proc.stdout.strip())

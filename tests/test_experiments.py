@@ -241,6 +241,13 @@ class TestRunExperiment:
         for pa, pb in zip(paths_a, paths_b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_sweep_rejects_skewed_rows_it_could_not_draw(self):
+        # SkewedRows needs a power-of-two t; sweeps draw no signal but still check
+        with pytest.raises(ValueError, match="power of two"):
+            run_experiment(make_config(dims=GridDims(n=16, t=6), e_max_target=3, trials=1,
+                                       mode=ExperimentMode.MmaxSweep,
+                                       profile_shape=ProfileShape.SkewedRows))
+
     def test_worker_env_validated(self, monkeypatch):
         monkeypatch.setenv("GABOR_RECOVER_THREADS", "0")
         with pytest.raises(ValueError):

@@ -53,6 +53,18 @@ class TestBinomTailUpper:
             want = float(binom_upper_frac(n, th, c))
             assert abs(binom_tail_upper(n, theta, c) - want) <= 1e-12
 
+    def test_stop_at_underflow_matches_full_sum(self):
+        # past the mode the terms underflow to 0.0 long before y = n
+        n, theta, j = 30000, 0.1, 3100
+
+        def term(y):
+            log_comb = math.lgamma(n + 1) - math.lgamma(y + 1) - math.lgamma(n - y + 1)
+            return math.exp(log_comb + y * math.log(theta) + (n - y) * math.log1p(-theta))
+
+        terms = [term(y) for y in range(j, n + 1)]
+        assert terms[0] > 0.0 and terms[-1] == 0.0
+        assert binom_tail_upper(n, theta, j) == min(1.0, math.fsum(terms))
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             binom_tail_upper(0, 0.5, 1)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gabor_recover import recovery
 from gabor_recover.channel import ErasurePattern, apply_erasure, sample_erasure
 from gabor_recover.recovery import (
     L1Domain,
@@ -246,6 +247,39 @@ class TestL1RecoverMany:
         assert peak < 8 * 2**20
 
 
+class TestPolishRow:
+    def test_exact_zero_refit_coefficient_is_not_certified(self, monkeypatch):
+        # a zero coefficient has no sign, so its candidate has no dual certificate
+        n = 16
+        planted = np.zeros(n, dtype=complex)
+        planted[2], planted[5] = 1.0, -0.7j
+        x = planted.copy()
+        x[9], x[13] = 0.5, 0.3
+        obs = np.ones(n, dtype=bool)
+        obs[[1, 6, 10, 14]] = False
+        F = recovery._constraint_submatrix(n, np.arange(n), np.arange(n))
+        b = F @ planted
+        real_fit = recovery._support_fit
+        supports = []
+
+        def fit_with_exact_zero(E, support, b_obs):
+            A, coeffs, gram = real_fit(E, support, b_obs)
+            coeffs = coeffs.copy()
+            where = {int(s): i for i, s in enumerate(support)}
+            if 13 in where:
+                coeffs[where[9]], coeffs[where[13]] = 1.0, 0.0  # 13 is dead: refit
+            else:
+                coeffs[where[9]] = 0.0  # still feasible, since b has nothing at 9
+            supports.append(sorted(where))
+            return A, coeffs, gram
+
+        monkeypatch.setattr(recovery, "_support_fit", fit_with_exact_zero)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            polished, _ = recovery._polish_row(x, b, obs, F, 1e-9)
+        assert supports == [[2, 5, 9, 13], [2, 5, 9]]
+        assert polished is None
+
+
 def sparse_grid_signal(rng, dims, e_max):
     vals = np.zeros((dims.t, dims.n), dtype=complex)
     for y in range(dims.t):
@@ -276,6 +310,15 @@ class TestRecoveryProblem:
         observed = ~np.isnan(prob.observed_values)
         assert np.array_equal(observed, ~pat.mask)
         assert int(observed.sum()) == 7
+
+    def test_rejects_nonfinite_imaginary_part_at_observed_position(self):
+        dims = GridDims(n=4, t=2)
+        pat = ErasurePattern.from_missing(dims, [(0, 0)])
+        vals = np.ones((2, 4), dtype=complex)
+        vals[1, 1] = complex(1.0, np.inf)
+        with pytest.raises(ValueError):
+            RecoveryProblem(dims=dims, kind=TransformKind.GaborRow,
+                            observed_values=vals, pattern=pat)
 
     def test_rejects_wrong_kind_object(self):
         dims = GridDims(n=4, t=2)
