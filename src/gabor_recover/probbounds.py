@@ -35,10 +35,6 @@ def _ceil_snapped(v: float) -> int:
     return math.ceil(v - _SNAP)
 
 
-def _floor_snapped(v: float) -> int:
-    return math.floor(v + _SNAP)
-
-
 def _validate_n_theta(n: int, theta: float):
     if not isinstance(n, (int,)) or isinstance(n, bool):
         raise ValueError("n must be an integer")
@@ -82,23 +78,13 @@ def binom_tail_upper(n: int, theta: float, threshold: float) -> float:
 
 
 def binom_tail_lower(n: int, theta: float, threshold: float) -> float:
-    """P(X <= threshold); summation runs up to ``floor(threshold)`` (snapped).
+    """P(X <= threshold), summing the pmf up to ``floor(threshold)`` (snapped).
 
-    Satisfies the reflection identity
-    ``binom_tail_lower(n, theta, c) == binom_tail_upper(n, 1-theta, n-c)``.
+    It is ``binom_tail_upper(n, 1-theta, n-threshold)``, the upper tail of
+    ``n - X``, as ``ceil(n-c-snap) = n - floor(c+snap)``; it stops early too.
     """
     _validate_n_theta(n, theta)
-    j = _floor_snapped(threshold)
-    if j < 0:
-        return 0.0
-    if j >= n:
-        return 1.0
-    if theta == 0.0:
-        return 1.0  # X identically 0 and j >= 0
-    if theta == 1.0:
-        return 0.0  # X identically n and j < n
-    terms = [math.exp(_log_pmf(n, y, theta)) for y in range(0, j + 1)]
-    return min(1.0, math.fsum(terms))
+    return binom_tail_upper(n, 1.0 - theta, n - threshold)
 
 
 @dataclass(frozen=True)

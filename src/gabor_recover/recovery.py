@@ -17,9 +17,9 @@ soft-thresholding with projection onto the affine constraint set (one
 forward/inverse FFT pair per iteration, since the constraint operator is
 unitary). A support-identification polish runs alongside: least-squares on
 the detected support, accepted only when the result is feasible and a dual
-vector certifies L1 optimality. Each solve builds the width's unitary DFT
-matrix once, and the polish slices a row's observed rows from it; nothing is
-kept between solves. The engine is vectorized over independent
+vector certifies L1 optimality. It builds no DFT matrix: a row's Gram is read
+off the FFT of its observed mask, rows of one support size solve as a stack,
+and the duals take one FFT pair. The engine is vectorized over independent
 instances; per-instance behavior is identical to solving one at a time.
 
 Row-wise recovery applies the solve to each row of a grid independently,
@@ -61,6 +61,8 @@ __all__ = [
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_CONV_TOL = 1e-12
 DEFAULT_FEAS_TOL = 1e-9
+_POLISH_CHUNK = 512  # candidate rows polished at once, which bounds the polish's memory
+_GRAM_ENTRIES = 1 << 17  # stacked Gram entries solved at once
 
 
 class L1Domain(Enum):
@@ -167,87 +169,99 @@ def _constraint_submatrix(n: int, obs_idx: np.ndarray, support: np.ndarray) -> n
     return np.exp(phases) / math.sqrt(n)
 
 
-def _support_fit(E: np.ndarray, support: np.ndarray, b_obs: np.ndarray):
-    """Least squares of ``b_obs`` on the ``support`` columns of ``E``.
+def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
+    """Solve ``A^H A x = rhs`` per row, ``A`` its observed DFT rows on its support ``S``.
 
-    Returns ``(A, coeffs, gram)``, where ``gram`` is None when ``lstsq`` stood
-    in for the normal equations, or None when the columns are rank deficient.
+    ``spec`` is the Hermitian part of each observed mask's FFT over ``n``, so
+    Gram entry ``(i, j)`` is ``spec[(s_j - s_i) mod n]``. Rows of one support
+    size solve as stacks of at most ``_GRAM_ENTRIES`` entries. ``ok`` is False
+    (``x`` zero) where the Gram fails Cholesky, the full-rank test, or solve.
     """
-    A = E[:, support]
-    gram = A.conj().T @ A
-    # Cholesky doubles as the full-rank test; the Gram of a certified
-    # instance is well conditioned, so normal equations are safe
-    try:
-        np.linalg.cholesky(gram)
-        return A, np.linalg.solve(gram, A.conj().T @ b_obs), gram
-    except np.linalg.LinAlgError:
-        coeffs, _, rank, _ = np.linalg.lstsq(A, b_obs, rcond=None)
-        return (A, coeffs, None) if rank == support.size else None
+    x = np.zeros(S.shape, dtype=np.complex128)
+    ok = np.ones(len(S), dtype=bool)
+    size = S.sum(axis=1)
+    for s in np.flatnonzero(np.bincount(size)):
+        group = np.nonzero(size == s)[0]
+        step = _GRAM_ENTRIES // max(s * s, 1)
+        for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
+            sup = np.nonzero(S[rows])[1].reshape(rows.size, s)
+            G = spec[rows[:, None, None], (sup[:, None, :] - sup[:, :, None]) % S.shape[1]]
+            try:
+                np.linalg.cholesky(G)
+                x[rows[:, None], sup] = np.linalg.solve(G, rhs[rows[:, None], sup, None])[..., 0]
+            except np.linalg.LinAlgError:  # bisect, so one such row costs its neighbours nothing
+                ok[rows] = False
+                for half in np.array_split(rows, 2) if rows.size > 1 else ():
+                    x[half], ok[half] = _normal_solve(S[half], rhs[half], spec[half])
+    return x, ok
 
 
-def _polish_row(x: np.ndarray, b: np.ndarray, obs: np.ndarray, F: np.ndarray,
-                feas_tol: float):
-    """Least-squares on the detected support, kept only with a dual certificate.
+def _fit_supports(S: np.ndarray, b: np.ndarray, obs: np.ndarray, spec: np.ndarray):
+    """Least squares of each row's data ``b`` on its support columns ``S``.
 
-    ``obs`` is the row's boolean observed mask and ``F`` the width's unitary
-    DFT matrix, whose observed rows are the constraint operator.
-    Returns ``(solution, residual)`` with the exact minimizer (full-length)
-    or ``(None, 0.0)``. Acceptance needs: the support system solvable with
-    full column rank, feasibility within ``feas_tol``, and a dual vector with
-    unit-or-less modulus off the support (so the candidate really minimizes
-    the L1 norm).
+    Returns full-length coefficients and whether the columns have full rank,
+    from a rank-checked ``lstsq`` where :func:`_normal_solve` fails.
     """
-    n = x.shape[0]
-    mag = np.abs(x)
-    top = mag.max()
-    if top == 0.0:
-        return None, 0.0
-    b_obs = b[obs]
-    E = F[obs]
-    prev_size = -1
-    for frac in (1e-2, 1e-4, 1e-6):
-        support = np.nonzero(mag > frac * top)[0]
-        if support.size == prev_size:
+    coeffs, fitted = _normal_solve(S, _adjoint(b), spec)
+    for r in np.nonzero(~fitted)[0]:
+        A = _constraint_submatrix(S.shape[1], np.nonzero(obs[r])[0], np.nonzero(S[r])[0])
+        c, _, rank, _ = np.linalg.lstsq(A, b[r, obs[r]], rcond=None)
+        coeffs[r, S[r]], fitted[r] = c, rank == c.size
+    return coeffs, fitted
+
+
+def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
+    """Least squares on each row's detected support, kept only with a dual certificate.
+
+    A row has support tiers ``tier`` (how many of 1e-2, 1e-4 and 1e-6 of the
+    peak each DR iterate entry exceeds), data ``b`` (zero where unobserved),
+    observed mask ``obs`` and tolerance ``feas``. Its supports ``tier >= 3, 2,
+    1`` are tried while they grow and fit in the observed count; acceptance
+    needs full column rank, feasibility and a dual vector of modulus at most 1
+    off the support. Returns ``(accepted, solutions, residuals)``.
+    """
+    n = tier.shape[1]
+    spec = np.fft.fft(obs, axis=1)
+    # Hermitian to the bit, so every Gram built from it is too
+    spec = (spec + spec[:, -np.arange(n) % n].conj()) / (2 * n)
+    took = np.zeros(len(tier), dtype=bool)
+    sols = np.zeros(tier.shape, dtype=np.complex128)
+    resid = np.zeros(len(tier))
+    size = np.zeros(len(tier), dtype=int)  # an all-zero row's empty support never grows
+    for level in (3, 2, 1):
+        S = tier >= level
+        grown = S.sum(axis=1)
+        i = np.nonzero(~took & (grown != size) & (grown <= obs.sum(axis=1)))[0]
+        size = grown
+        if i.size == 0:
             continue
-        prev_size = support.size
-        if support.size > b_obs.size:
-            continue
-        fit = _support_fit(E, support, b_obs)
-        if fit is None:
-            continue
+        S, bi, oi, si = S[i], b[i], obs[i], spec[i]
+        coeffs, fitted = _fit_supports(S, bi, oi, si)
         # drop numerically dead entries once, so the sign vector is meaningful
-        coeffs = fit[1]
-        alive = np.abs(coeffs) > 1e-12 * max(np.abs(coeffs).max(), 1e-300)
-        if not alive.all():
-            support = support[alive]
-            if support.size == 0:
-                if np.abs(b_obs).max(initial=0.0) <= feas_tol:
-                    return np.zeros(n, dtype=np.complex128), 0.0
-                continue
-            fit = _support_fit(E, support, b_obs)
-            if fit is None:
-                continue
-        A, coeffs, gram = fit
-        residual = float(np.abs(A @ coeffs - b_obs).max(initial=0.0))
-        if residual > feas_tol:
-            continue
-        signs = coeffs / np.abs(coeffs)
-        # minimum-norm dual: solve (A^H) lam = signs
-        if gram is not None:
-            lam = A @ np.linalg.solve(gram, signs)
-        else:
-            lam, _, _, _ = np.linalg.lstsq(A.conj().T, signs, rcond=None)
-        # "not <=" so that NaN signs (an exact-0 refit coefficient) fail both checks
-        if not np.abs(A.conj().T @ lam - signs).max(initial=0.0) <= 1e-8:
-            continue
-        dual = E.conj().T @ lam
-        dual[support] = 0.0
-        if not np.abs(dual).max(initial=0.0) <= 1.0 + 1e-7:
-            continue
-        out = np.zeros(n, dtype=np.complex128)
-        out[support] = coeffs
-        return out, residual
-    return None, 0.0
+        mags = np.abs(coeffs)
+        alive = mags > 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1e-300)
+        refit = fitted & (alive.sum(axis=1) < grown[i])
+        if refit.any():
+            S[refit] = alive[refit]
+            coeffs[refit], fitted[refit] = _fit_supports(S[refit], bi[refit], oi[refit], si[refit])
+        res = _observed_residual(coeffs, bi, oi)
+        j = np.nonzero(fitted & (res <= feas[i]))[0]
+        S, c = S[j], coeffs[j]
+        signs = np.divide(c, np.abs(c), out=np.zeros_like(c), where=S)
+        # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs or lstsq as in the fit
+        w, gram_ok = _normal_solve(S, signs, si[j])
+        lam = oi[j] * _forward(w)
+        for r in np.nonzero(~gram_ok)[0]:
+            A = _constraint_submatrix(n, np.nonzero(oi[j[r]])[0], np.nonzero(S[r])[0])
+            lam[r, oi[j[r]]] = np.linalg.lstsq(A.conj().T, signs[r, S[r]], rcond=None)[0]
+        dual = _adjoint(lam)
+        # "<=" is False for NaN, so NaN signs (an exact-0 refit coefficient) fail
+        j = j[(np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
+              & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7)]
+        took[i[j]] = True
+        sols[i[j]] = coeffs[j]
+        resid[i[j]] = res[j]
+    return took, sols, resid
 
 
 def _dr_step(z: np.ndarray, scale: np.ndarray, b: np.ndarray, obs: np.ndarray):
@@ -313,12 +327,12 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     if orig.size == 0:
         return sols, conv, resid, iters
 
-    F = _constraint_submatrix(n, np.arange(n), np.arange(n))
     z = z0[act]
     bb = b[orig]
     oo = obs[orig]
     sc = scale[act]
     feas = tol * np.maximum(1.0, np.abs(bb).max(axis=1))
+    seen = np.zeros((orig.size, n), dtype=np.int8)  # support tiers at each row's last polish
 
     it = 0
     check_every = 8
@@ -332,27 +346,30 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
 
         delta = np.abs(dz).max(axis=1)
         done = np.zeros(orig.size, dtype=bool)
-        for i in np.nonzero((delta < 0.3 * sc) | (it >= max_iter))[0]:
-            polished, pres = _polish_row(x[i], bb[i], oo[i], F, feas[i])
-            if polished is not None:
-                k = orig[i]
-                sols[k] = polished
-                conv[k] = True
-                resid[k] = pres
-                iters[k] = it
-                done[i] = True
+        cand = np.nonzero((delta < 0.3 * sc) | (it >= max_iter))[0]
+        for lo in range(0, cand.size, _POLISH_CHUNK):
+            i = cand[lo:lo + _POLISH_CHUNK]
+            mag = np.abs(x[i])
+            tier = sum(mag > f * mag.max(axis=1, keepdims=True) for f in (1e-2, 1e-4, 1e-6))
+            # a polish sees a row only through its tiers: unchanged ones would fail again
+            fresh = (tier != seen[i]).any(axis=1)
+            i, tier = i[fresh], tier[fresh]
+            seen[i] = tier
+            took, polished, pres = _polish(tier, bb[i], oo[i], feas[i])
+            i = i[took]
+            sols[orig[i]], resid[orig[i]] = polished[took], pres[took]
+            done[i] = True
         # rows the polish did not take settle on the DR iterate once it stalls
         settled = ~done & (delta <= DEFAULT_CONV_TOL * sc)
         if settled.any():
-            k = orig[settled]
-            sols[k] = y[settled]
-            conv[k] = True
-            resid[k] = _observed_residual(y[settled], bb[settled], oo[settled])
-            iters[k] = it
+            sols[orig[settled]] = y[settled]
+            resid[orig[settled]] = _observed_residual(y[settled], bb[settled], oo[settled])
             done |= settled
         if done.any():
+            conv[orig[done]] = True
+            iters[orig[done]] = it
             keep = ~done
-            orig, z, bb, oo, sc, feas = (a[keep] for a in (orig, z, bb, oo, sc, feas))
+            orig, z, bb, oo, sc, feas, seen = (a[keep] for a in (orig, z, bb, oo, sc, feas, seen))
 
     # budget exhausted: report a final feasible iterate without claiming convergence
     if orig.size:
@@ -431,15 +448,14 @@ def l1_recover_many(values: np.ndarray, missing_mask: np.ndarray,
 
 
 def uniqueness_oracle_1d(support, missing, n: int) -> bool:
-    """Whether the observed positions numerically pin down any signal on this support.
+    """Whether the observed positions pin down any signal on this support.
 
-    Numerical rank test: the unitary DFT submatrix with non-missing transform
-    rows and the given support columns must have full column rank at
-    ``np.linalg.matrix_rank``'s default tolerance. That is well-posedness in
-    floating point, not exact uniqueness: at prime widths every such
-    submatrix has full rank (Chebotarev), yet at ``n = 257`` some
-    contiguous missing blocks with ``|support| = n - |missing|`` are
-    rejected. Independent of the L1 solver; used as its ground-truth check.
+    That is, whether the unitary DFT submatrix on the non-missing transform
+    rows and the support columns has full column rank. At prime ``n`` every
+    square submatrix is nonsingular (Chebotarev; Tao 2005), so this is exactly
+    ``|support| <= |observed|``; at composite ``n`` it is a numerical rank test
+    at ``np.linalg.matrix_rank``'s default tolerance (well-posedness in floating
+    point, not exact uniqueness). Independent of the L1 solver, it checks it.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -452,11 +468,9 @@ def uniqueness_oracle_1d(support, missing, n: int) -> bool:
     if not support:
         return True
     obs = np.array([m for m in range(n) if m not in missing], dtype=int)
-    if len(support) > obs.size:
-        return False
-    if not missing:
-        # full unitary matrix: every column subset is orthonormal
-        return True
+    if len(support) > obs.size or not missing or all(n % d for d in range(2, math.isqrt(n) + 1)):
+        # too many unknowns, the full unitary matrix, or a prime width (n = 1 included)
+        return len(support) <= obs.size
     sub = _constraint_submatrix(n, obs, np.array(support, dtype=int))
     return int(np.linalg.matrix_rank(sub)) == len(support)
 

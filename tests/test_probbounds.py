@@ -101,6 +101,11 @@ class TestBinomTailLower:
             want = float(binom_lower_frac(n, th, c))
             assert abs(binom_tail_lower(n, theta, c) - want) <= 1e-12
 
+    def test_far_tail_at_large_n_is_the_reflected_upper_tail(self):
+        # summing from 0 walked 750001 underflowing terms here
+        assert binom_tail_lower(1000000, 0.9, 750000) == binom_tail_upper(1000000, 1 - 0.9,
+                                                                          1000000 - 750000)
+
 
 class TestLemmaTailBound:
     def test_reference_point(self):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gabor_recover import recovery
 from gabor_recover.channel import ErasurePattern, apply_erasure, sample_erasure
@@ -29,6 +30,10 @@ from gabor_recover.transforms import TransformKind, gabor_col, gabor_row, gabor_
 def row_spectrum(sig_row):
     n = sig_row.shape[0]
     return np.fft.fft(sig_row) / math.sqrt(n)
+
+
+def row_spectrum_many(rows):
+    return np.fft.fft(rows, axis=-1) / math.sqrt(rows.shape[-1])
 
 
 def freq_map(sig_row, missing):
@@ -102,6 +107,18 @@ class TestUniquenessOracle:
                     for supp in itertools.combinations(positions, s_size):
                         for miss in itertools.combinations(positions, m_size):
                             assert uniqueness_oracle_1d(set(supp), set(miss), n)
+
+    def test_prime_width_contiguous_blocks_are_unique(self):
+        # Chebotarev: at prime p any |S| <= p - |M| is unique; a float rank
+        # test at p=257 rejects some of these ill-conditioned blocks
+        p = 257
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            m = int(rng.integers(1, p))
+            start = int(rng.integers(0, p))
+            miss = {(start + k) % p for k in range(m)}
+            supp = set(rng.choice(p, size=p - m, replace=False).tolist())
+            assert uniqueness_oracle_1d(supp, miss, p) is True
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -247,7 +264,45 @@ class TestL1RecoverMany:
         assert peak < 8 * 2**20
 
 
-class TestPolishRow:
+class TestShiftCovariance:
+    @BOTH_DOMAINS
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 24), shift=st.integers(1, 23), seed=st.integers(0, 2**32 - 1),
+           max_iter=st.sampled_from([8, 64, recovery.DEFAULT_MAX_ITER]))
+    def test_shifted_planted_vector_shifts_the_solution(self, domain, n, shift, seed, max_iter):
+        # rolling the sparse vector by k multiplies its transform by a phase
+        # ramp on the same mask; the solve must follow to within float noise
+        rng = np.random.default_rng(seed)
+        batch = 6
+        sparse = np.zeros((batch, n), dtype=complex)
+        masks = np.zeros((batch, n), dtype=bool)
+        for i in range(batch):
+            supp = rng.choice(n, size=int(rng.integers(1, n // 4 + 2)), replace=False)
+            sparse[i, supp] = rng.normal(size=supp.size) + 1j * rng.normal(size=supp.size)
+            masks[i, rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)] = True
+        data = np.stack([planted_instance(row, domain)[1] for row in sparse])
+        sign = -1.0 if domain is L1Domain.MinimizeSignalL1 else 1.0
+        ramp = np.exp(sign * 2j * np.pi * np.arange(n) * shift / n)
+        assert np.allclose(np.stack([planted_instance(np.roll(row, shift), domain)[1]
+                                     for row in sparse]), data * ramp, atol=1e-12)
+
+        def l1_side(sols):
+            return sols if domain is L1Domain.MinimizeSignalL1 else row_spectrum_many(sols)
+
+        sols, conv, _ = l1_recover_many(np.where(masks, 0, data), masks, domain, max_iter=max_iter)
+        moved, moved_conv, _ = l1_recover_many(np.where(masks, 0, data * ramp), masks, domain,
+                                               max_iter=max_iter)
+        assert moved_conv.tolist() == conv.tolist()
+        assert np.abs(l1_side(moved) - np.roll(l1_side(sols), shift, axis=1)).max() <= 1e-9
+
+
+def tiers(x):
+    # the engine's support tiers of iterates whose nonzero entries all exceed
+    # 1e-2 of their row's peak
+    return np.where(x != 0, 3, 0)
+
+
+class TestPolish:
     def test_exact_zero_refit_coefficient_is_not_certified(self, monkeypatch):
         # a zero coefficient has no sign, so its candidate has no dual certificate
         n = 16
@@ -257,27 +312,67 @@ class TestPolishRow:
         x[9], x[13] = 0.5, 0.3
         obs = np.ones(n, dtype=bool)
         obs[[1, 6, 10, 14]] = False
-        F = recovery._constraint_submatrix(n, np.arange(n), np.arange(n))
-        b = F @ planted
-        real_fit = recovery._support_fit
+        b = np.where(obs, row_spectrum(planted), 0.0)
+        real_fit = recovery._fit_supports
         supports = []
 
-        def fit_with_exact_zero(E, support, b_obs):
-            A, coeffs, gram = real_fit(E, support, b_obs)
-            coeffs = coeffs.copy()
-            where = {int(s): i for i, s in enumerate(support)}
-            if 13 in where:
-                coeffs[where[9]], coeffs[where[13]] = 1.0, 0.0  # 13 is dead: refit
+        def fit_with_exact_zero(S, *rest):
+            coeffs, fitted = real_fit(S, *rest)
+            if S[0, 13]:
+                coeffs[0, 9], coeffs[0, 13] = 1.0, 0.0  # 13 is dead: refit
             else:
-                coeffs[where[9]] = 0.0  # still feasible, since b has nothing at 9
-            supports.append(sorted(where))
-            return A, coeffs, gram
+                coeffs[0, 9] = 0.0  # still feasible, since b has nothing at 9
+            supports.append(np.nonzero(S[0])[0].tolist())
+            return coeffs, fitted
 
-        monkeypatch.setattr(recovery, "_support_fit", fit_with_exact_zero)
+        monkeypatch.setattr(recovery, "_fit_supports", fit_with_exact_zero)
         with np.errstate(invalid="ignore", divide="ignore"):
-            polished, _ = recovery._polish_row(x, b, obs, F, 1e-9)
+            took, _, _ = recovery._polish(tiers(x)[None], b[None], obs[None], np.array([1e-9]))
         assert supports == [[2, 5, 9, 13], [2, 5, 9]]
-        assert polished is None
+        assert not took[0]
+
+    def test_rank_deficient_gram_leaves_its_group_polishing(self):
+        # at n=10 the even columns repeat with period 5 over the rows, so
+        # observing all but rows 0 and 5 leaves the middle row's five support
+        # columns rank 4; its stacked solve raises for the whole group
+        n = 10
+        rng = np.random.default_rng(0)
+        rows = [((0, 1, 2, 3, 4), (0, 5)), ((0, 2, 4, 6, 8), (0, 5)), ((0, 1, 2, 3, 5), (1, 3))]
+        planted = np.zeros((3, n), dtype=complex)
+        obs = np.ones((3, n), dtype=bool)
+        for k, (supp, miss) in enumerate(rows):
+            planted[k, list(supp)] = rng.normal(size=5) + 1j * rng.normal(size=5)
+            obs[k, list(miss)] = False
+        b = np.where(obs, row_spectrum_many(planted), 0.0)
+        took, sols, _ = recovery._polish(tiers(planted), b, obs, np.full(3, 1e-9))
+        assert took.tolist() == [True, False, True]
+        assert np.allclose(sols[took], planted[took], atol=1e-12)
+        assert not sols[1].any()
+
+
+    def test_unchanged_support_tiers_are_not_polished_again(self, monkeypatch):
+        # a polish sees a row only through its tiers, data, mask and tolerance,
+        # so a row whose tiers did not change since it failed would fail again
+        rng = np.random.default_rng(12)
+        n, batch = 16, 24
+        sparse = np.zeros((batch, n), dtype=complex)
+        for i in range(batch):
+            supp = rng.choice(n, size=5, replace=False)
+            sparse[i, supp] = rng.normal(size=5) + 1j * rng.normal(size=5)
+        masks = rng.random((batch, n)) < 0.4
+        last, calls = {}, []
+        real_polish = recovery._polish
+
+        def polish(tier, b, *rest):
+            for row, t in zip(b, tier):
+                calls.append(last.get(row.tobytes()) == t.tobytes())
+                last[row.tobytes()] = t.tobytes()
+            return real_polish(tier, b, *rest)
+
+        monkeypatch.setattr(recovery, "_polish", polish)
+        l1_recover_many(np.where(masks, 0, row_spectrum_many(sparse)), masks, max_iter=2000)
+        assert len(calls) > 2 * batch
+        assert not any(calls)
 
 
 def sparse_grid_signal(rng, dims, e_max):
