@@ -69,6 +69,8 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=100)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="run only these workloads (default: all in BENCHMARK.json)")
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -81,7 +83,7 @@ def main() -> int:
         for side, rev in (("base", args.base), ("head", args.head)):
             dirs[side].mkdir()
             report[side] = export(rev, dirs[side])
-        for wl in (w["name"] for w in bench["workloads"]):
+        for wl in args.workloads or [w["name"] for w in bench["workloads"]]:
             runs = {"base": [], "head": []}
             for k in range(args.pairs):
                 for side in ("base", "head") if k % 2 == 0 else ("head", "base"):

@@ -182,7 +182,7 @@ def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
     size = S.sum(axis=1)
     for s in np.flatnonzero(np.bincount(size)):
         group = np.nonzero(size == s)[0]
-        step = _GRAM_ENTRIES // max(s * s, 1)
+        step = max(1, _GRAM_ENTRIES // max(s * s, 1))  # a Gram past the cap solves alone
         for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
             sup = np.nonzero(S[rows])[1].reshape(rows.size, s)
             G = spec[rows[:, None, None], (sup[:, None, :] - sup[:, :, None]) % S.shape[1]]
@@ -332,7 +332,6 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     oo = obs[orig]
     sc = scale[act]
     feas = tol * np.maximum(1.0, np.abs(bb).max(axis=1))
-    seen = np.zeros((orig.size, n), dtype=np.int8)  # support tiers at each row's last polish
 
     it = 0
     check_every = 8
@@ -351,10 +350,6 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
             i = cand[lo:lo + _POLISH_CHUNK]
             mag = np.abs(x[i])
             tier = sum(mag > f * mag.max(axis=1, keepdims=True) for f in (1e-2, 1e-4, 1e-6))
-            # a polish sees a row only through its tiers: unchanged ones would fail again
-            fresh = (tier != seen[i]).any(axis=1)
-            i, tier = i[fresh], tier[fresh]
-            seen[i] = tier
             took, polished, pres = _polish(tier, bb[i], oo[i], feas[i])
             i = i[took]
             sols[orig[i]], resid[orig[i]] = polished[took], pres[took]
@@ -369,7 +364,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
             conv[orig[done]] = True
             iters[orig[done]] = it
             keep = ~done
-            orig, z, bb, oo, sc, feas, seen = (a[keep] for a in (orig, z, bb, oo, sc, feas, seen))
+            orig, z, bb, oo, sc, feas = (a[keep] for a in (orig, z, bb, oo, sc, feas))
 
     # budget exhausted: report a final feasible iterate without claiming convergence
     if orig.size:
