@@ -58,10 +58,6 @@ class ErasurePattern:
     def per_row_counts(self) -> np.ndarray:
         return self.mask.sum(axis=1)
 
-    @property
-    def per_col_counts(self) -> np.ndarray:
-        return self.mask.sum(axis=0)
-
     def missing_count(self) -> int:
         return int(self.mask.sum())
 

@@ -12,7 +12,6 @@ derive from the base seed so any single trial can be re-run in isolation.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -391,8 +390,20 @@ def _mode_token(mode_value: str) -> str:
     return "".join(out)
 
 
-def _fmt_float(v: float) -> str:
-    return format(float(v), ".17g")
+def _cell(v) -> str:
+    """One CSV field: ints as ``str``, floats at 17 significant digits, bools as
+    ``true``/``false`` and ``None`` empty."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(_cell(v) for v in row) + "\n" for row in rows)
 
 
 TAIL_CSV_HEADER = "n,t,theta,e_max,c,p_mmax_below,p_mmin_below,exact_tail,lemma_bound,valid"
@@ -413,15 +424,9 @@ def emit_results(summary: dict, records, out_dir) -> list:
         out.mkdir(parents=True, exist_ok=True)
 
         csv_path = out / f"{base}_trials.csv"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRIAL_CSV_HEADER.split(","))
-            for rec in sorted(records, key=lambda r: r.seed):
-                writer.writerow([
-                    rec.seed, rec.m_max, rec.m_min, rec.rows_recovered,
-                    "true" if rec.exact_recovery else "false",
-                    _fmt_float(rec.residual),
-                ])
+        _write_csv(csv_path, TRIAL_CSV_HEADER,
+                   ((r.seed, r.m_max, r.m_min, r.rows_recovered, r.exact_recovery, r.residual)
+                    for r in sorted(records, key=lambda r: r.seed)))
         written.append(csv_path)
 
         persisted = {k: v for k, v in summary.items() if k != "wall_clock"}
@@ -433,18 +438,8 @@ def emit_results(summary: dict, records, out_dir) -> list:
 
         if "tail_table" in summary:
             table_path = out / f"{base}_table.csv"
-            with open(table_path, "w", newline="") as fh:
-                fh.write(TAIL_CSV_HEADER + "\n")
-                for row in summary["tail_table"]:
-                    fields = [
-                        str(row["n"]), str(row["t"]), _fmt_float(row["theta"]),
-                        str(row["e_max"]), _fmt_float(row["c"]),
-                        _fmt_float(row["p_mmax_below"]), _fmt_float(row["p_mmin_below"]),
-                        _fmt_float(row["exact_tail"]),
-                        "" if row["lemma_bound"] is None else _fmt_float(row["lemma_bound"]),
-                        "true" if row["valid"] else "false",
-                    ]
-                    fh.write(",".join(fields) + "\n")
+            rows = ([row[k] for k in TAIL_CSV_HEADER.split(",")] for row in summary["tail_table"])
+            _write_csv(table_path, TAIL_CSV_HEADER, rows)
             written.append(table_path)
     except OSError as exc:
         raise OSError(f"failed writing experiment artifacts under {out}: {exc}") from exc

@@ -111,11 +111,7 @@ def lemma_tail_bound(n: int, theta: float, k: float) -> TailBoundResult:
     _validate_n_theta(n, theta)
     if not (0.0 < theta < k < 1.0):
         raise ValueError(f"need 0 < theta < k < 1, got theta={theta}, k={k}")
-    j = _ceil_snapped(n * k)
-    j = max(j, 0)
-    if j > n:
-        # k < 1 makes this unreachable, kept as a guard
-        return TailBoundResult(0.0, 0.0, 1.0, True)
+    j = _ceil_snapped(n * k)  # in [0, n], as 0 < n*k < n
     r = (n - j) * theta / ((j + 1) * (1.0 - theta))
     exact = binom_tail_upper(n, theta, n * k)
     if r >= 1.0:

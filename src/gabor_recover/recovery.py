@@ -245,7 +245,8 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
             S[refit] = alive[refit]
             coeffs[refit], fitted[refit] = _fit_supports(S[refit], bi[refit], oi[refit], si[refit])
         res = _observed_residual(coeffs, bi, oi)
-        j = np.nonzero(fitted & (res <= feas[i]))[0]
+        # an exact-0 coefficient on the support has no sign, so no dual certificate
+        j = np.nonzero(fitted & (res <= feas[i]) & ~(S & (coeffs == 0)).any(axis=1))[0]
         S, c = S[j], coeffs[j]
         signs = np.divide(c, np.abs(c), out=np.zeros_like(c), where=S)
         # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs or lstsq as in the fit
@@ -255,7 +256,6 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
             A = _constraint_submatrix(n, np.nonzero(oi[j[r]])[0], np.nonzero(S[r])[0])
             lam[r, oi[j[r]]] = np.linalg.lstsq(A.conj().T, signs[r, S[r]], rcond=None)[0]
         dual = _adjoint(lam)
-        # "<=" is False for NaN, so NaN signs (an exact-0 refit coefficient) fail
         j = j[(np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
               & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7)]
         took[i[j]] = True
@@ -474,20 +474,36 @@ def uniqueness_oracle_1d(support, missing, n: int) -> bool:
 # grid pipelines
 # ----------------------------------------------------------------------------
 
-def _row_certificates(m_counts: np.ndarray, n: int, profile) -> np.ndarray:
-    """Per-row uniqueness certificates from side information.
+def _row_stage(problem: RecoveryProblem, tol: float, max_iter: int):
+    """Solve every row of a row-transform grid on its own.
 
-    Erasure-free rows are certified unconditionally; others need the profile's
-    support count to satisfy the product test against the row's missing count.
+    Returns ``(solutions, ok, residuals, missing_counts)``: ``ok`` marks rows
+    that converged with something observed. The engine ignores the NaN at
+    missing positions and inverts erasure-free rows directly.
     """
-    t = m_counts.shape[0]
-    cert = m_counts == 0
-    if profile is not None:
-        supports = np.asarray(profile.row_supports, dtype=int)
-        if supports.shape != (t,):
-            raise ValueError("profile row count does not match grid")
-        cert = cert | ds_condition(supports, m_counts, n)
-    return cert
+    if problem.kind is not TransformKind.GaborRow:
+        raise ValueError(f"row recovery expects GaborRow data, got {problem.kind.value}")
+    m_counts = problem.pattern.mask.sum(axis=1)
+    out, converged, resid, _ = _solve_l1_batch(problem.observed_values, problem.pattern.mask,
+                                               tol=tol, max_iter=max_iter)
+    return out, converged & (m_counts < problem.dims.n), resid, m_counts
+
+
+def _report(problem: RecoveryProblem, stage: RecoveryStage, out: np.ndarray, ok: np.ndarray,
+            residual: np.ndarray, guarantee: tuple) -> RecoveryReport:
+    """Report rows ``ok`` as Recovered and zero the others in ``out`` (in place).
+
+    ``residual`` is per row; the report keeps its maximum over rows ``ok``.
+    The recovered signal is None when no row is ``ok``.
+    """
+    out[~ok] = 0.0
+    return RecoveryReport(
+        stage=stage,
+        row_status=tuple(RowStatus.Recovered if r else RowStatus.Failed for r in ok),
+        residual=float(residual[ok].max(initial=0.0)),
+        guarantee_held=guarantee,
+        recovered=Signal2D(dims=problem.dims, values=out) if ok.any() else None,
+    )
 
 
 def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FEAS_TOL,
@@ -502,36 +518,16 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
     only erasure-free rows were certified). Rows with nothing observed are
     Failed.
     """
-    if problem.kind is not TransformKind.GaborRow:
-        raise ValueError(f"row recovery expects GaborRow data, got {problem.kind.value}")
-    n, t = problem.dims.n, problem.dims.t
-    mask = problem.pattern.mask
-    m_counts = mask.sum(axis=1)
-
-    # the engine ignores the NaN at missing positions and inverts erasure-free
-    # rows directly; fully erased rows fail below
-    out, converged, row_resid, _ = _solve_l1_batch(problem.observed_values, mask, tol=tol,
-                                                   max_iter=max_iter)
-
-    cert = _row_certificates(m_counts, n, profile)
-    recovered_rows = converged & (m_counts < n)
+    out, ok, resid, m_counts = _row_stage(problem, tol, max_iter)
+    # erasure-free rows are certified unconditionally, others by the profile
+    cert = m_counts == 0
     if profile is not None:
-        recovered_rows &= cert
-
-    statuses = tuple(
-        RowStatus.Recovered if recovered_rows[a] else RowStatus.Failed for a in range(t)
-    )
-    out[~recovered_rows] = 0.0
-    guarantee = bool(recovered_rows.size == 0 or cert[recovered_rows].all())
-    residual = float(row_resid[recovered_rows].max()) if recovered_rows.any() else 0.0
-    signal = Signal2D(dims=problem.dims, values=out) if recovered_rows.any() else None
-    return RecoveryReport(
-        stage=RecoveryStage.RowOnly,
-        row_status=statuses,
-        residual=residual,
-        guarantee_held=(guarantee,),
-        recovered=signal,
-    )
+        supports = np.asarray(profile.row_supports, dtype=int)
+        if supports.shape != m_counts.shape:
+            raise ValueError("profile row count does not match grid")
+        cert |= ds_condition(supports, m_counts, problem.dims.n)
+        ok &= cert
+    return _report(problem, RecoveryStage.RowOnly, out, ok, resid, (bool(cert[ok].all()),))
 
 
 def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optional[int] = None,
@@ -550,18 +546,17 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     """
     if col_transform_support_max is not None and col_transform_support_max < 1:
         raise ValueError("col_transform_support_max must be a positive integer")
-    stage1 = recover_rows(problem, profile=None, tol=tol, max_iter=max_iter)
-    row_ok = np.array([s is RowStatus.Recovered for s in stage1.row_status], dtype=bool)
+    out, row_ok, resid, m_counts = _row_stage(problem, tol, max_iter)
+    # without side information stage 1 certifies only erasure-free rows
+    row_guarantee = bool((m_counts[row_ok] == 0).all())
     if row_ok.all():
-        return stage1
+        return _report(problem, RecoveryStage.RowOnly, out, row_ok, resid, (row_guarantee,))
 
     n, t = problem.dims.n, problem.dims.t
-    k_missing = int((~row_ok).sum())
     certified = (col_transform_support_max is not None
-                 and ds_condition(k_missing, col_transform_support_max, t))
+                 and ds_condition(int((~row_ok).sum()), col_transform_support_max, t))
     attempt = certified or col_transform_support_max is None
 
-    out = np.zeros((t, n), complex) if stage1.recovered is None else stage1.recovered.values.copy()
     repaired_rows = np.zeros(t, dtype=bool)
     if attempt and row_ok.any():
         # every column shares the same missing rows: solve them all at once, and
@@ -572,30 +567,14 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
             repaired_rows = ~row_ok
             out[repaired_rows] = cols.T[repaired_rows]
 
-    # consistency: repaired rows must match their own surviving observations
+    # repaired rows must match their own observations; every row's residual is against them
     mask = problem.pattern.mask
     b = np.where(mask, 0.0 + 0.0j, problem.observed_values)
     row_err = _observed_residual(out, b, ~mask)
     demoted = repaired_rows & (row_err > tol * np.maximum(1.0, np.abs(b).max(axis=1)))
-    repaired_rows &= ~demoted
-
-    final_ok = row_ok | repaired_rows
-    out[~final_ok] = 0.0
-    statuses = tuple(
-        RowStatus.Recovered if final_ok[a] else RowStatus.Failed for a in range(t)
-    )
-
-    # residual across all recovered rows, against the original observations
-    residual = float(row_err[final_ok].max(initial=0.0))
     col_guarantee = bool(certified) and not demoted.any()
-    signal = Signal2D(dims=problem.dims, values=out) if final_ok.any() else None
-    return RecoveryReport(
-        stage=RecoveryStage.RowThenColumn,
-        row_status=statuses,
-        residual=residual,
-        guarantee_held=(stage1.guarantee_held[0], col_guarantee),
-        recovered=signal,
-    )
+    return _report(problem, RecoveryStage.RowThenColumn, out, row_ok | (repaired_rows & ~demoted),
+                   row_err, (row_guarantee, col_guarantee))
 
 
 def report_to_json(report: RecoveryReport) -> str:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,41 @@ class TestShiftCovariance:
         assert np.abs(l1_side(moved) - np.roll(l1_side(sols), shift, axis=1)).max() <= 1e-9
 
 
+class TestModulationCovariance:
+    @BOTH_DOMAINS
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 24), k=st.integers(1, 23), seed=st.integers(0, 2**32 - 1),
+           max_iter=st.sampled_from([8, 64, recovery.DEFAULT_MAX_ITER]))
+    def test_modulated_planted_vector_modulates_the_solution(self, domain, n, k, seed,
+                                                             max_iter):
+        # a phase ramp on the sparse vector rolls its data and the mask by +-k
+        # (the dual of TestShiftCovariance); the solve must take the same ramp
+        rng = np.random.default_rng(seed)
+        batch = 6
+        sparse = np.zeros((batch, n), dtype=complex)
+        masks = np.zeros((batch, n), dtype=bool)
+        for i in range(batch):
+            supp = rng.choice(n, size=int(rng.integers(1, n // 4 + 2)), replace=False)
+            sparse[i, supp] = rng.normal(size=supp.size) + 1j * rng.normal(size=supp.size)
+            masks[i, rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)] = True
+        data = np.stack([planted_instance(row, domain)[1] for row in sparse])
+        ramp = np.exp(2j * np.pi * np.arange(n) * k / n)
+        roll = k if domain is L1Domain.MinimizeSignalL1 else -k
+        assert np.allclose(np.stack([planted_instance(row * ramp, domain)[1] for row in sparse]),
+                           np.roll(data, roll, axis=1), atol=1e-12)
+
+        def l1_side(sols):
+            return sols if domain is L1Domain.MinimizeSignalL1 else row_spectrum_many(sols)
+
+        sols, conv, _ = l1_recover_many(np.where(masks, 0, data), masks, domain, max_iter=max_iter)
+        moved_masks = np.roll(masks, roll, axis=1)
+        moved, moved_conv, _ = l1_recover_many(
+            np.where(moved_masks, 0, np.roll(data, roll, axis=1)), moved_masks, domain,
+            max_iter=max_iter)
+        assert moved_conv.tolist() == conv.tolist()
+        assert np.abs(l1_side(moved) - l1_side(sols) * ramp).max() <= 1e-9
+
+
 def tiers(x):
     # the engine's support tiers of iterates whose nonzero entries all exceed
     # 1e-2 of their row's peak
@@ -340,7 +376,8 @@ class TestPolish:
             return coeffs, fitted
 
         monkeypatch.setattr(recovery, "_fit_supports", fit_with_exact_zero)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before its sign is ever divided out
             took, _, _ = recovery._polish(tiers(x)[None], b[None], obs[None], np.array([1e-9]))
         assert supports == [[2, 5, 9, 13], [2, 5, 9]]
         assert not took[0]
