@@ -8,7 +8,7 @@ Each side is exported with ``bench_compare.export`` into its own temporary
 directory, and this script then runs once per side in a fresh interpreter that
 imports that side's ``src/``. Both sides get the same inputs:
 
-* ``--batches`` random ``l1_recover_many`` batches (n = 4..32, 1..8 rows),
+* ``--batches`` random ``l1_recover_many`` batches (n = 4..32, 1..32 rows),
   alternating the two ``L1Domain``s. A batch of more than two rows has a fully
   erased first row and an erasure-free second row, and one batch in ten runs
   at ``max_iter`` 1, 2, 3, 8 or 16;
@@ -81,7 +81,7 @@ def _engine_batches(count: int, out: Path) -> None:
     arrays = {}
     for k in range(count):
         rng = np.random.default_rng([1, k])
-        n, rows = int(rng.integers(4, 33)), int(rng.integers(1, 9))
+        n, rows = int(rng.integers(4, 33)), int(rng.integers(1, 33))
         sparse = _planted(rng, n, rows, max(1, n // 3))
         masks = np.zeros((rows, n), dtype=bool)
         for i in range(rows):
