@@ -403,7 +403,7 @@ def _cell(v) -> str:
 def _write_csv(path: Path, header: str, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(_cell(v) for v in row) + "\n" for row in rows)
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 TAIL_CSV_HEADER = "n,t,theta,e_max,c,p_mmax_below,p_mmin_below,exact_tail,lemma_bound,valid"
