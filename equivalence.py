@@ -22,7 +22,7 @@ report recovered anything, its stage, and every integer, boolean, string or
 empty cell of an artifact. The script prints the changed decisions, the
 largest drift of any float, and the counts of bit-identical engine outputs,
 byte-identical ``report_to_json`` strings and byte-identical artifacts. It
-exits 1 when any decision changed.
+exits 1 when any decision changed, and 2 when a side fails to run.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def main() -> int:
                 [sys.executable, str(Path(__file__).resolve()), "--collect", str(out),
                  "--batches", str(args.batches), "--grids", str(args.grids)],
                 cwd=checkout, env=env, stdout=subprocess.DEVNULL))
-        if any(p.wait() for p in procs):
+        if any([p.wait() for p in procs]):  # a list, so both sides finish
             print("error: a side failed to run its inputs", file=sys.stderr)
             return 2
         (base_rev, base), (head_rev, head) = sides["base"], sides["head"]
