@@ -279,6 +279,23 @@ class TestL1RecoverMany:
         assert np.allclose(sols[0], dense, atol=1e-9)
 
 
+def planted_batch(seed, n, domain):
+    """Six random sparse rows, random erasure masks and the rows' data in ``domain``."""
+    rng = np.random.default_rng(seed)
+    batch = 6
+    sparse = np.zeros((batch, n), dtype=complex)
+    masks = np.zeros((batch, n), dtype=bool)
+    for i in range(batch):
+        supp = rng.choice(n, size=int(rng.integers(1, n // 4 + 2)), replace=False)
+        sparse[i, supp] = rng.normal(size=supp.size) + 1j * rng.normal(size=supp.size)
+        masks[i, rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)] = True
+    return sparse, masks, np.stack([planted_instance(row, domain)[1] for row in sparse])
+
+
+def l1_side(sols, domain):
+    return sols if domain is L1Domain.MinimizeSignalL1 else row_spectrum_many(sols)
+
+
 class TestShiftCovariance:
     @BOTH_DOMAINS
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -287,28 +304,18 @@ class TestShiftCovariance:
     def test_shifted_planted_vector_shifts_the_solution(self, domain, n, shift, seed, max_iter):
         # rolling the sparse vector by k multiplies its transform by a phase
         # ramp on the same mask; the solve must follow to within float noise
-        rng = np.random.default_rng(seed)
-        batch = 6
-        sparse = np.zeros((batch, n), dtype=complex)
-        masks = np.zeros((batch, n), dtype=bool)
-        for i in range(batch):
-            supp = rng.choice(n, size=int(rng.integers(1, n // 4 + 2)), replace=False)
-            sparse[i, supp] = rng.normal(size=supp.size) + 1j * rng.normal(size=supp.size)
-            masks[i, rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)] = True
-        data = np.stack([planted_instance(row, domain)[1] for row in sparse])
+        sparse, masks, data = planted_batch(seed, n, domain)
         sign = -1.0 if domain is L1Domain.MinimizeSignalL1 else 1.0
         ramp = np.exp(sign * 2j * np.pi * np.arange(n) * shift / n)
         assert np.allclose(np.stack([planted_instance(np.roll(row, shift), domain)[1]
                                      for row in sparse]), data * ramp, atol=1e-12)
 
-        def l1_side(sols):
-            return sols if domain is L1Domain.MinimizeSignalL1 else row_spectrum_many(sols)
-
         sols, conv, _ = l1_recover_many(np.where(masks, 0, data), masks, domain, max_iter=max_iter)
         moved, moved_conv, _ = l1_recover_many(np.where(masks, 0, data * ramp), masks, domain,
                                                max_iter=max_iter)
         assert moved_conv.tolist() == conv.tolist()
-        assert np.abs(l1_side(moved) - np.roll(l1_side(sols), shift, axis=1)).max() <= 1e-9
+        assert np.abs(l1_side(moved, domain)
+                      - np.roll(l1_side(sols, domain), shift, axis=1)).max() <= 1e-9
 
 
 class TestModulationCovariance:
@@ -320,22 +327,11 @@ class TestModulationCovariance:
                                                              max_iter):
         # a phase ramp on the sparse vector rolls its data and the mask by +-k
         # (the dual of TestShiftCovariance); the solve must take the same ramp
-        rng = np.random.default_rng(seed)
-        batch = 6
-        sparse = np.zeros((batch, n), dtype=complex)
-        masks = np.zeros((batch, n), dtype=bool)
-        for i in range(batch):
-            supp = rng.choice(n, size=int(rng.integers(1, n // 4 + 2)), replace=False)
-            sparse[i, supp] = rng.normal(size=supp.size) + 1j * rng.normal(size=supp.size)
-            masks[i, rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)] = True
-        data = np.stack([planted_instance(row, domain)[1] for row in sparse])
+        sparse, masks, data = planted_batch(seed, n, domain)
         ramp = np.exp(2j * np.pi * np.arange(n) * k / n)
         roll = k if domain is L1Domain.MinimizeSignalL1 else -k
         assert np.allclose(np.stack([planted_instance(row * ramp, domain)[1] for row in sparse]),
                            np.roll(data, roll, axis=1), atol=1e-12)
-
-        def l1_side(sols):
-            return sols if domain is L1Domain.MinimizeSignalL1 else row_spectrum_many(sols)
 
         sols, conv, _ = l1_recover_many(np.where(masks, 0, data), masks, domain, max_iter=max_iter)
         moved_masks = np.roll(masks, roll, axis=1)
@@ -343,7 +339,7 @@ class TestModulationCovariance:
             np.where(moved_masks, 0, np.roll(data, roll, axis=1)), moved_masks, domain,
             max_iter=max_iter)
         assert moved_conv.tolist() == conv.tolist()
-        assert np.abs(l1_side(moved) - l1_side(sols) * ramp).max() <= 1e-9
+        assert np.abs(l1_side(moved, domain) - l1_side(sols, domain) * ramp).max() <= 1e-9
 
 
 def tiers(x):
