@@ -97,8 +97,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"e_max_target must lie in [1, n={self.dims.n}], got {self.e_max_target}"
             )
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not isinstance(self.mode, ExperimentMode):
             raise ValueError(f"mode must be an ExperimentMode, got {self.mode!r}")
         if not isinstance(self.profile_shape, ProfileShape):

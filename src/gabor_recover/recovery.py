@@ -17,10 +17,10 @@ soft-thresholding with projection onto the affine constraint set (one
 forward/inverse FFT pair per iteration, since the constraint operator is
 unitary). A support-identification polish runs alongside: least-squares on
 the detected support, accepted only when the result is feasible and a dual
-vector certifies L1 optimality. It builds no DFT matrix: a row's Gram is read
-off the FFT of its observed mask, rows of one support size solve as a stack,
-and the duals take one FFT pair. The engine is vectorized over independent
-instances; per-instance behavior is identical to solving one at a time.
+vector certifies L1 optimality. It builds no DFT matrix: Grams come off the FFT
+of each observed mask and solve stacked by support size, with no dense fallback
+(DR keeps a row whose Gram fails), and the duals take one FFT pair. The engine
+solves independent instances at once, each exactly as it would alone.
 
 Row-wise recovery applies the solve to each row of a grid independently,
 optionally certifying rows through the product condition
@@ -163,19 +163,13 @@ def _adjoint(w: np.ndarray) -> np.ndarray:
     return np.fft.ifft(w, axis=-1) * math.sqrt(n)
 
 
-def _constraint_submatrix(n: int, obs_idx: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Unitary DFT matrix restricted to observed rows and support columns."""
-    phases = -2j * np.pi * np.outer(obs_idx, support) / n
-    return np.exp(phases) / math.sqrt(n)
-
-
 def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
     """Solve ``A^H A x = rhs`` per row, ``A`` its observed DFT rows on its support ``S``.
 
     ``spec`` is the Hermitian part of each observed mask's FFT over ``n``, so
     Gram entry ``(i, j)`` is ``spec[(s_j - s_i) mod n]``. Rows of one support
     size solve as stacks of at most ``_GRAM_ENTRIES`` entries. ``ok`` is False
-    (``x`` zero) where the Gram fails Cholesky, the full-rank test, or solve.
+    (``x`` zero) where the Gram fails Cholesky (the full-rank test) or solve.
     """
     x = np.zeros(S.shape, dtype=np.complex128)
     ok = np.ones(len(S), dtype=bool)
@@ -196,20 +190,6 @@ def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
     return x, ok
 
 
-def _fit_supports(S: np.ndarray, b: np.ndarray, obs: np.ndarray, spec: np.ndarray):
-    """Least squares of each row's data ``b`` on its support columns ``S``.
-
-    Returns full-length coefficients and whether the columns have full rank,
-    from a rank-checked ``lstsq`` where :func:`_normal_solve` fails.
-    """
-    coeffs, fitted = _normal_solve(S, _adjoint(b), spec)
-    for r in np.nonzero(~fitted)[0]:
-        A = _constraint_submatrix(S.shape[1], np.nonzero(obs[r])[0], np.nonzero(S[r])[0])
-        c, _, rank, _ = np.linalg.lstsq(A, b[r, obs[r]], rcond=None)
-        coeffs[r, S[r]], fitted[r] = c, rank == c.size
-    return coeffs, fitted
-
-
 def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
     """Least squares on each row's detected support, kept only with a dual certificate.
 
@@ -218,7 +198,8 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
     observed mask ``obs`` and tolerance ``feas``. Its supports ``tier >= 3, 2,
     1`` are tried while they grow and fit in the observed count; acceptance
     needs full column rank, feasibility and a dual vector of modulus at most 1
-    off the support. Returns ``(accepted, solutions, residuals)``.
+    off the support. There is no dense fallback: a row whose Gram fails
+    :func:`_normal_solve` is left to DR. Returns ``(accepted, solutions, residuals)``.
     """
     n = tier.shape[1]
     spec = np.fft.fft(obs, axis=1)
@@ -236,27 +217,25 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
         if i.size == 0:
             continue
         S, bi, oi, si = S[i], b[i], obs[i], spec[i]
-        coeffs, fitted = _fit_supports(S, bi, oi, si)
+        # no dense fallback: a Gram failing Cholesky has sigma_min(A) <~ 1e-8, so a dual needs
+        # ||lam|| = ||E^H lam|| >= |<v_min, signs>|/sigma_min, past the checks' sqrt(n)(1 + 1e-7)
+        coeffs, fitted = _normal_solve(S, _adjoint(bi), si)
         # drop numerically dead entries once, so the sign vector is meaningful
         mags = np.abs(coeffs)
         alive = mags > 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1e-300)
         refit = fitted & (alive.sum(axis=1) < grown[i])
         if refit.any():
             S[refit] = alive[refit]
-            coeffs[refit], fitted[refit] = _fit_supports(S[refit], bi[refit], oi[refit], si[refit])
+            coeffs[refit], fitted[refit] = _normal_solve(S[refit], _adjoint(bi[refit]), si[refit])
         res = _observed_residual(coeffs, bi, oi)
         # an exact-0 coefficient on the support has no sign, so no dual certificate
         j = np.nonzero(fitted & (res <= feas[i]) & ~(S & (coeffs == 0)).any(axis=1))[0]
         S, c = S[j], coeffs[j]
         signs = np.divide(c, np.abs(c), out=np.zeros_like(c), where=S)
-        # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs or lstsq as in the fit
+        # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs
         w, gram_ok = _normal_solve(S, signs, si[j])
-        lam = oi[j] * _forward(w)
-        for r in np.nonzero(~gram_ok)[0]:
-            A = _constraint_submatrix(n, np.nonzero(oi[j[r]])[0], np.nonzero(S[r])[0])
-            lam[r, oi[j[r]]] = np.linalg.lstsq(A.conj().T, signs[r, S[r]], rcond=None)[0]
-        dual = _adjoint(lam)
-        j = j[(np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
+        dual = _adjoint(oi[j] * _forward(w))
+        j = j[gram_ok & (np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
               & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7)]
         took[i[j]] = True
         sols[i[j]] = coeffs[j]
@@ -466,7 +445,7 @@ def uniqueness_oracle_1d(support, missing, n: int) -> bool:
     if len(support) > obs.size or not missing or all(n % d for d in range(2, math.isqrt(n) + 1)):
         # too many unknowns, the full unitary matrix, or a prime width (n = 1 included)
         return len(support) <= obs.size
-    sub = _constraint_submatrix(n, obs, np.array(support, dtype=int))
+    sub = np.exp(-2j * np.pi * np.outer(obs, support) / n) / math.sqrt(n)
     return int(np.linalg.matrix_rank(sub)) == len(support)
 
 
@@ -518,13 +497,14 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
     only erasure-free rows were certified). Rows with nothing observed are
     Failed.
     """
+    if profile is not None:
+        supports = np.asarray(profile.row_supports, dtype=int)
+        if supports.shape != (problem.dims.t,):
+            raise ValueError("profile row count does not match grid")
     out, ok, resid, m_counts = _row_stage(problem, tol, max_iter)
     # erasure-free rows are certified unconditionally, others by the profile
     cert = m_counts == 0
     if profile is not None:
-        supports = np.asarray(profile.row_supports, dtype=int)
-        if supports.shape != m_counts.shape:
-            raise ValueError("profile row count does not match grid")
         cert |= ds_condition(supports, m_counts, problem.dims.n)
         ok &= cert
     return _report(problem, RecoveryStage.RowOnly, out, ok, resid, (bool(cert[ok].all()),))

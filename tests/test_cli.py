@@ -91,6 +91,13 @@ class TestExperimentCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_tol_exits_one_without_summary(self, tmp_path, capsys):
+        code = main(["row-recovery", "--n", "8", "--t", "2", "--theta", "0.1",
+                     "--e-max", "1", "--tol", "nan", "--out", str(tmp_path)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*summary.json"))
+
     def test_missing_required_field_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 8, "t": 2}))

@@ -49,6 +49,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             make_config(tol=0.0)
         with pytest.raises(ValueError):
+            make_config(tol=float("nan"))
+        with pytest.raises(ValueError):
+            make_config(tol=float("inf"))
+        with pytest.raises(ValueError):
             make_config(mode="RowRecovery")
         with pytest.raises(ValueError):
             make_config(sweep=(8, 8))

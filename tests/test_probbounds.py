@@ -1,8 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gabor_recover.probbounds import (
     TailBoundResult,
@@ -105,6 +107,31 @@ class TestBinomTailLower:
         # summing from 0 walked 750001 underflowing terms here
         assert binom_tail_lower(1000000, 0.9, 750000) == binom_tail_upper(1000000, 1 - 0.9,
                                                                           1000000 - 750000)
+
+
+TAIL_THETAS = [1 / 1000, 1 / 10, 1 / 6, 1 / 3, 2 / 5, 1 / 2, 9 / 10, 999 / 1000]
+
+
+def assert_matches_exact(got, exact):
+    # relative to the exact tail where it is a normal float; an exact 0 stays 0
+    if exact == 0:
+        assert got == 0.0
+    elif exact >= sys.float_info.min:
+        assert abs(got - float(exact)) <= 1e-11 * float(exact)
+
+
+class TestTailsAgainstExactSums:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 80), theta=st.sampled_from(TAIL_THETAS),
+           threshold=st.one_of(st.integers(-2, 82),
+                               st.floats(-2.0, 82.0, allow_nan=False)))
+    def test_upper_and_lower_tails(self, n, theta, threshold):
+        # the reference sums the exact pmf of the float theta the tails are given
+        th = Fraction(theta)
+        assert_matches_exact(binom_tail_upper(n, theta, threshold),
+                             binom_upper_frac(n, th, threshold))
+        assert_matches_exact(binom_tail_lower(n, theta, threshold),
+                             binom_lower_frac(n, th, threshold))
 
 
 class TestLemmaTailBound:

@@ -82,6 +82,22 @@ class TestDsCondition:
             ds_condition(1, 2, 0, 3)
 
 
+@st.composite
+def width_support_missing(draw, widths):
+    """A width from ``widths``, a nonempty support and a missing set sparing one position."""
+    n = draw(st.sampled_from(widths))
+    positions = st.integers(0, n - 1)
+    return n, draw(st.sets(positions, min_size=1)), draw(st.sets(positions, max_size=n - 1))
+
+
+def explicit_rank_test(n, support, missing):
+    """Whether the unitary DFT submatrix on the observed rows and ``support`` has full rank."""
+    k = np.arange(n)
+    F = np.exp(-2j * np.pi * np.outer(k, k) / n) / math.sqrt(n)
+    sub = F[np.ix_([m for m in k if m not in missing], sorted(support))]
+    return int(np.linalg.matrix_rank(sub)) == len(support)
+
+
 class TestUniquenessOracle:
     def test_no_missing_always_unique(self):
         assert uniqueness_oracle_1d(set(), set(), 5) is True
@@ -120,6 +136,20 @@ class TestUniquenessOracle:
             miss = {(start + k) % p for k in range(m)}
             supp = set(rng.choice(p, size=p - m, replace=False).tolist())
             assert uniqueness_oracle_1d(supp, miss, p) is True
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=width_support_missing([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+    def test_prime_widths_match_the_explicit_rank_test(self, case):
+        # Chebotarev: at prime n the rank test is |S| <= |observed|, which the
+        # oracle returns without building a matrix
+        n, supp, miss = case
+        assert uniqueness_oracle_1d(supp, miss, n) is explicit_rank_test(n, supp, miss)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=width_support_missing([4, 6, 8, 9, 10, 12]))
+    def test_composite_widths_match_the_explicit_rank_test(self, case):
+        n, supp, miss = case
+        assert uniqueness_oracle_1d(supp, miss, n) is explicit_rank_test(n, supp, miss)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -359,11 +389,13 @@ class TestPolish:
         obs = np.ones(n, dtype=bool)
         obs[[1, 6, 10, 14]] = False
         b = np.where(obs, row_spectrum(planted), 0.0)
-        real_fit = recovery._fit_supports
+        real_solve = recovery._normal_solve
         supports = []
 
         def fit_with_exact_zero(S, *rest):
-            coeffs, fitted = real_fit(S, *rest)
+            coeffs, fitted = real_solve(S, *rest)
+            if len(S) == 0:  # the dual of no candidate
+                return coeffs, fitted
             if S[0, 13]:
                 coeffs[0, 9], coeffs[0, 13] = 1.0, 0.0  # 13 is dead: refit
             else:
@@ -371,7 +403,7 @@ class TestPolish:
             supports.append(np.nonzero(S[0])[0].tolist())
             return coeffs, fitted
 
-        monkeypatch.setattr(recovery, "_fit_supports", fit_with_exact_zero)
+        monkeypatch.setattr(recovery, "_normal_solve", fit_with_exact_zero)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before its sign is ever divided out
             took, _, _ = recovery._polish(tiers(x)[None], b[None], obs[None], np.array([1e-9]))
@@ -395,6 +427,20 @@ class TestPolish:
         assert took.tolist() == [True, False, True]
         assert np.allclose(sols[took], planted[took], atol=1e-12)
         assert not sols[1].any()
+
+    def test_exactly_dependent_support_is_not_certified(self):
+        # on the odd rows of n=8, column 7 is minus column 3; a rank cutoff of
+        # eps*max(m, s) called such supports full rank
+        n = 8
+        planted = np.zeros(n, dtype=complex)
+        planted[3], planted[7] = 1.0, 0.5j
+        obs = np.zeros(n, dtype=bool)
+        obs[[1, 3, 5, 7]] = True
+        b = np.where(obs, row_spectrum(planted), 0.0)
+        took, sols, _ = recovery._polish(tiers(planted)[None], b[None], obs[None],
+                                         np.array([1e-9]))
+        assert not took[0]
+        assert not sols[0].any()
 
 
 
@@ -513,6 +559,19 @@ class TestRecoverRows:
         free = recover_rows(prob)
         assert free.row_status == (RowStatus.Recovered,)
         assert free.guarantee_held == (False,)
+
+    def test_mismatched_profile_rejected_before_solving(self, rng, monkeypatch):
+        dims = GridDims(n=16, t=4)
+        sig = sparse_grid_signal(rng, dims, 2)
+        prob = apply_erasure(gabor_row(sig), sample_erasure(dims, 0.3, 5))
+        short = support_profile(Signal2D(dims=GridDims(n=16, t=2), values=sig.values[:2]))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the engine ran before the profile was checked")
+
+        monkeypatch.setattr(recovery, "_solve_l1_batch", no_solve)
+        with pytest.raises(ValueError, match="profile row count"):
+            recover_rows(prob, profile=short)
 
     # at max_iter=3 the column stage of this grid repairs rows 1, 3 and 4,
     # whose repairs miss their own observations and must be demoted
