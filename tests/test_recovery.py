@@ -137,18 +137,14 @@ class TestUniquenessOracle:
             supp = set(rng.choice(p, size=p - m, replace=False).tolist())
             assert uniqueness_oracle_1d(supp, miss, p) is True
 
+    # Chebotarev: at prime n the rank test is |S| <= |observed|, which the
+    # oracle returns without building a matrix; composite n builds its own
+    @pytest.mark.parametrize("widths", [[2, 3, 5, 7, 11, 13, 17, 19, 23], [4, 6, 8, 9, 10, 12]],
+                             ids=["prime", "composite"])
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(case=width_support_missing([2, 3, 5, 7, 11, 13, 17, 19, 23]))
-    def test_prime_widths_match_the_explicit_rank_test(self, case):
-        # Chebotarev: at prime n the rank test is |S| <= |observed|, which the
-        # oracle returns without building a matrix
-        n, supp, miss = case
-        assert uniqueness_oracle_1d(supp, miss, n) is explicit_rank_test(n, supp, miss)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(case=width_support_missing([4, 6, 8, 9, 10, 12]))
-    def test_composite_widths_match_the_explicit_rank_test(self, case):
-        n, supp, miss = case
+    @given(data=st.data())
+    def test_matches_the_explicit_rank_test(self, widths, data):
+        n, supp, miss = data.draw(width_support_missing(widths))
         assert uniqueness_oracle_1d(supp, miss, n) is explicit_rank_test(n, supp, miss)
 
     def test_rejects_out_of_range(self):
