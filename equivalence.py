@@ -15,7 +15,8 @@ imports that side's ``src/``. Both sides get the same inputs:
 * ``--grids`` random grids (n = 8..64, t = 2..11, ``max_iter`` from 1 to 1e5,
   column support bound None, 1, 2 or t) through ``recover_rows`` and
   ``recover_two_stage``;
-* a fixed set of CLI runs covering every experiment mode.
+* a fixed set of CLI runs covering every experiment mode, driven by flags, and
+  one two-stage run that reads a config file and overrides one of its fields.
 
 A decision is a converged flag, a row status, a guarantee flag, whether a
 report recovered anything, its stage, and every integer, boolean, string or
@@ -61,6 +62,11 @@ CLI_RUNS = {
     "two_uniform": ["two-stage", "--t", "8", "--theta", "0.3", "--e-max", "2", "--trials", "60",
                     "--sweep", "16,32", "--profile-shape", "UniformRows"],
 }
+# one more run reads this config file, which leaves trials and base_seed to their
+# defaults, and overrides its theta with a flag
+CONFIG_FILE = {"n": 32, "t": 8, "theta": 0.5, "e_max_target": 3, "profile_shape": "SkewedRows",
+               "sweep": [32, 64, 128, 256]}
+CONFIG_RUN = ["two-stage", "--theta", "0.25"]
 
 
 # ----------------------------------------------------------------------------
@@ -130,9 +136,13 @@ def _grids(count: int, out: Path) -> None:
 def _cli_runs(out: Path) -> None:
     from gabor_recover import cli
 
-    for name, argv in CLI_RUNS.items():
-        width = argv[argv.index("--sweep") + 1].split(",")[0]
-        code = cli.main(argv + ["--n", width, "--seed", "7", "--out", str(out / "cli" / name)])
+    config = out / "config.json"
+    config.write_text(json.dumps(CONFIG_FILE))
+    runs = {name: argv + ["--n", argv[argv.index("--sweep") + 1].split(",")[0], "--seed", "7"]
+            for name, argv in CLI_RUNS.items()}
+    runs["config"] = CONFIG_RUN + ["--config", str(config)]
+    for name, argv in runs.items():
+        code = cli.main(argv + ["--out", str(out / "cli" / name)])
         if code != 0:
             raise SystemExit(f"CLI run {name} exited {code}")
 
@@ -260,7 +270,7 @@ def compare_artifacts(base: Path, head: Path, tally: Tally) -> str:
             tally.changed.append(f"artifact {name}: an integer, boolean or empty cell")
         else:
             tally.float_drift(*floats)
-    return f"cli: {identical}/{len(names)} artifacts byte-identical ({len(CLI_RUNS)} runs)"
+    return f"cli: {identical}/{len(names)} artifacts byte-identical ({len(CLI_RUNS) + 1} runs)"
 
 
 def main() -> int:

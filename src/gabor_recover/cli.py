@@ -14,7 +14,9 @@ import json
 import sys
 
 from .experiments import (
+    ExperimentConfig,
     ExperimentMode,
+    _mode_token,
     config_from_mapping,
     emit_results,
     run_sweep,
@@ -29,13 +31,8 @@ from .transforms import (
     idft2,
 )
 
-_MODE_FOR_COMMAND = {
-    "mmax-sweep": ExperimentMode.MmaxSweep,
-    "mmin-sweep": ExperimentMode.MminSweep,
-    "row-recovery": ExperimentMode.RowRecovery,
-    "two-stage": ExperimentMode.TwoStage,
-    "tail-bounds": ExperimentMode.TailBounds,
-}
+# each subcommand is its mode's artifact token with dashes
+_MODE_FOR_COMMAND = {_mode_token(mode.value).replace("_", "-"): mode for mode in ExperimentMode}
 
 _TRANSFORMS = {
     ("fourier2d", False): dft2,
@@ -48,15 +45,21 @@ _TRANSFORMS = {
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
+    """Add the flags of an experiment subcommand; each one's ``dest`` is its config key."""
     sub.add_argument("--config", help="JSON config file; flags override its fields")
     sub.add_argument("--n", type=int, help="grid width (row length)")
     sub.add_argument("--t", type=int, help="grid height (number of rows)")
     sub.add_argument("--theta", type=float, help="per-position erasure probability")
-    sub.add_argument("--e-max", type=int, dest="e_max", help="target max row support")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    sub.add_argument("--seed", type=int, help="base seed (default 0)")
-    sub.add_argument("--out", help="output directory (default '.')")
-    sub.add_argument("--tol", type=float, help="feasibility tolerance (default 1e-9)")
+    sub.add_argument("--e-max", type=int, dest="e_max_target", metavar="E_MAX",
+                     help="target max row support")
+    sub.add_argument("--trials", type=int,
+                     help=f"Monte Carlo trial count (default {ExperimentConfig.trials})")
+    sub.add_argument("--seed", type=int, dest="base_seed", metavar="SEED",
+                     help=f"base seed (default {ExperimentConfig.base_seed})")
+    sub.add_argument("--out", dest="output_path", metavar="OUT",
+                     help="output directory (default '.')")
+    sub.add_argument("--tol", type=float,
+                     help=f"feasibility tolerance (default {ExperimentConfig.tol:g})")
     sub.add_argument("--sweep", help="comma-separated n values, e.g. 32,64,128")
     sub.add_argument("--profile-shape", dest="profile_shape",
                      choices=["UniformRows", "SkewedRows"],
@@ -77,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
         "tail-bounds": "tabulate exact tails against the closed-form bound",
     }
     for name in _MODE_FOR_COMMAND:
-        _add_experiment_flags(sub.add_parser(name, help=helps[name]))
+        # a flag left out stays out of the namespace, so it overrides nothing
+        _add_experiment_flags(sub.add_parser(name, help=helps[name],
+                                             argument_default=argparse.SUPPRESS))
 
     tr = sub.add_parser("transform", help="apply one transform to a JSON signal")
     tr.add_argument("--input", required=True, help="path to a signal JSON file")
@@ -89,37 +94,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    flags = vars(args)
+    mode = _MODE_FOR_COMMAND[flags.pop("command")]
     mapping = {}
-    if args.config:
+    path = flags.pop("config", None)
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 mapping = json.load(fh)
         except OSError as exc:
-            raise OSError(f"cannot read config {args.config}: {exc}") from exc
+            raise OSError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(mapping, dict):
-            raise ValueError(f"config {args.config} must hold a JSON object")
-
-    overrides = {
-        "n": args.n,
-        "t": args.t,
-        "theta": args.theta,
-        "e_max_target": args.e_max,
-        "trials": args.trials,
-        "base_seed": args.seed,
-        "tol": args.tol,
-        "profile_shape": args.profile_shape,
-        "output_path": args.out,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            mapping[key] = value
-    if args.sweep is not None:
-        mapping["sweep"] = [int(v) for v in args.sweep.split(",") if v.strip()]
-    mapping["mode"] = _MODE_FOR_COMMAND[args.command].value
-    mapping.setdefault("base_seed", 0)
-    mapping.setdefault("trials", 1)
-
-    config = config_from_mapping(mapping)
+            raise ValueError(f"config {path} must hold a JSON object")
+    if "sweep" in flags:
+        flags["sweep"] = [int(v) for v in flags["sweep"].split(",") if v.strip()]
+    config = config_from_mapping({**mapping, **flags, "mode": mode.value})
     out_dir = config.output_path or "."
     for summary, records in run_sweep(config):
         paths = emit_results(summary, records, out_dir)

@@ -32,7 +32,7 @@ from .probbounds import (
     prob_mmax_below,
     prob_mmin_below,
 )
-from .recovery import RowStatus, recover_rows, recover_two_stage
+from .recovery import DEFAULT_FEAS_TOL, RowStatus, recover_rows, recover_two_stage
 from .signal import GridDims, Signal2D, column_support_max, support_profile
 from .transforms import gabor_col, gabor_row
 
@@ -75,15 +75,21 @@ class ProfileShape(Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment point, and the one place its fields and defaults are written.
+
+    The config file's keys and the CLI flags' destinations are these field
+    names, with ``n`` and ``t`` in place of ``dims``.
+    """
+
     dims: GridDims
     theta: float
     e_max_target: int
-    trials: int
-    base_seed: int
     mode: ExperimentMode
+    trials: int = 1
+    base_seed: int = 0
     profile_shape: ProfileShape = ProfileShape.UniformRows
     sweep: tuple = ()
-    tol: float = 1e-9
+    tol: float = DEFAULT_FEAS_TOL
     output_path: Optional[str] = None
 
     def __post_init__(self):
@@ -126,23 +132,25 @@ class TrialRecord:
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
-    """Build a config from a plain mapping (the JSON config file format)."""
+    """Build a config from a plain mapping (the JSON config file format).
+
+    A key left out takes the field's default, as does an ``output_path`` of
+    ``null``; a missing required key or a value of the wrong type is a ValueError.
+    """
+    optional = {"trials": int, "base_seed": int, "profile_shape": ProfileShape,
+                "sweep": tuple, "tol": float, "output_path": lambda path: path}
     try:
-        dims = GridDims(n=int(data["n"]), t=int(data["t"]))
         return ExperimentConfig(
-            dims=dims,
+            dims=GridDims(n=int(data["n"]), t=int(data["t"])),
             theta=float(data["theta"]),
             e_max_target=int(data["e_max_target"]),
-            trials=int(data["trials"]),
-            base_seed=int(data["base_seed"]),
             mode=ExperimentMode(data["mode"]),
-            profile_shape=ProfileShape(data.get("profile_shape", "UniformRows")),
-            sweep=tuple(int(v) for v in data.get("sweep", ())),
-            tol=float(data.get("tol", 1e-9)),
-            output_path=data.get("output_path"),
+            **{key: cast(data[key]) for key, cast in optional.items() if key in data},
         )
     except KeyError as exc:
         raise ValueError(f"config is missing required field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
 
 
 # ----------------------------------------------------------------------------
@@ -231,13 +239,11 @@ def _run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
     problem = apply_erasure(gabor_row(signal), pattern)
     if config.mode is ExperimentMode.RowRecovery:
         report = recover_rows(problem, profile=support_profile(signal), tol=config.tol)
-    elif config.mode is ExperimentMode.TwoStage:
+    else:
         report = recover_two_stage(
             problem, col_transform_support_max=column_support_max(gabor_col(signal)),
             tol=config.tol,
         )
-    else:
-        raise ValueError(f"mode {config.mode.value} does not run per-trial recovery")
 
     rows_recovered = sum(1 for s in report.row_status if s is RowStatus.Recovered)
     exact = False
@@ -335,7 +341,8 @@ def run_experiment(config: ExperimentConfig):
         records = [_run_trial(config, i) for i in range(config.trials)]
 
     c = n / (2 * config.e_max_target)
-    mmax_below = sum(1 for r in records if r.m_max < c)
+    guarded = [r for r in records if r.m_max < c]
+    mmax_below = len(guarded)
     mmin_below = sum(1 for r in records if r.m_min < c)
     summary["threshold_c"] = c
     summary["mmax_below_count"] = mmax_below
@@ -353,13 +360,11 @@ def run_experiment(config: ExperimentConfig):
         summary["closed_form"] = prob_mmin_below(n, t, config.theta, c)
     else:
         exact = sum(1 for r in records if r.exact_recovery)
-        guarded = [r for r in records if r.m_max < c]
-        guarded_exact = sum(1 for r in guarded if r.exact_recovery)
         summary["exact_count"] = exact
         summary["exact_rate"] = exact / config.trials
         summary["wilson_95"] = wilson_interval(exact, config.trials)
-        summary["guarded_trials"] = len(guarded)
-        summary["guarded_exact"] = guarded_exact
+        summary["guarded_trials"] = mmax_below
+        summary["guarded_exact"] = sum(1 for r in guarded if r.exact_recovery)
         summary["closed_form"] = prob_mmax_below(n, t, config.theta, c)
 
     summary["wall_clock"] = {"elapsed_s": time.perf_counter() - start}

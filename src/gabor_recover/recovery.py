@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .signal import GridDims, Signal2D
+from .signal import GridDims, Signal2D, signal_payload
 from .transforms import TransformKind
 
 if TYPE_CHECKING:
@@ -81,7 +81,6 @@ class RecoveryStage(Enum):
 class RowStatus(Enum):
     Recovered = "Recovered"
     Failed = "Failed"
-    NotAttempted = "NotAttempted"
 
 
 @dataclass
@@ -296,7 +295,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     pending = ~full
     # rows whose observations are all zero: the zero vector is the unique minimizer
     z0 = _adjoint(b[pending])
-    scale = np.abs(z0).max(axis=1) if z0.size else np.zeros(0)
+    scale = np.abs(z0).max(axis=1)
     pend_idx = np.nonzero(pending)[0]
     zero_rows = pend_idx[scale == 0.0]
     conv[zero_rows] = True
@@ -561,20 +560,11 @@ def report_to_json(report: RecoveryReport) -> str:
     """Canonical JSON for a report; the guarantee flags collapse to their AND."""
     import json
 
-    recovered = None
-    if report.recovered is not None:
-        flat = report.recovered.values.reshape(-1)
-        recovered = {
-            "n": report.recovered.dims.n,
-            "t": report.recovered.dims.t,
-            "re": [float(v) for v in flat.real],
-            "im": [float(v) for v in flat.imag],
-        }
     payload = {
         "stage": report.stage.value,
         "row_status": [s.value for s in report.row_status],
         "residual": float(report.residual),
         "guarantee_held": bool(all(report.guarantee_held)),
-        "recovered": recovered,
+        "recovered": None if report.recovered is None else signal_payload(report.recovered),
     }
     return json.dumps(payload, sort_keys=True)

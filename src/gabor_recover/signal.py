@@ -74,8 +74,6 @@ class Signal2D:
         self.values = vals
 
     def max_modulus(self) -> float:
-        if self.values.size == 0:
-            return 0.0
         return float(np.abs(self.values).max())
 
     def __eq__(self, other) -> bool:
@@ -130,7 +128,7 @@ def support_profile(signal: Signal2D, tol=None) -> SupportProfile:
     row_supports = tuple(int(c) for c in counts)
     return SupportProfile(
         row_supports=row_supports,
-        e_max=max(row_supports) if row_supports else 0,
+        e_max=max(row_supports),
         total_support=sum(row_supports),
     )
 
@@ -143,23 +141,27 @@ def column_support_max(signal: Signal2D, tol=None) -> int:
     """
     thr = _threshold(signal, tol)
     counts = (np.abs(signal.values) > thr).sum(axis=0)
-    return int(counts.max()) if counts.size else 0
+    return int(counts.max())
 
 
-def signal_to_json(signal: Signal2D) -> str:
-    """Serialize to the canonical JSON form.
+def signal_payload(signal: Signal2D) -> dict:
+    """The canonical JSON object of a signal, before encoding.
 
     Schema: ``{"n", "t", "re": [...], "im": [...]}`` with both coefficient
     lists flattened row-major by row index (entry index ``y*n + x``).
     """
     flat = signal.values.reshape(-1)
-    payload = {
+    return {
         "n": signal.dims.n,
         "t": signal.dims.t,
         "re": [float(v) for v in flat.real],
         "im": [float(v) for v in flat.imag],
     }
-    return json.dumps(payload, sort_keys=True)
+
+
+def signal_to_json(signal: Signal2D) -> str:
+    """Serialize to the canonical JSON form, :func:`signal_payload` encoded."""
+    return json.dumps(signal_payload(signal), sort_keys=True)
 
 
 def signal_from_json(text: str) -> Signal2D:

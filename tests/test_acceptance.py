@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_dft2, oracle_gabor_col, oracle_gabor_row
 
@@ -122,6 +123,28 @@ def test_criterion_2_support_product_at_least_grid_size():
             violations.append((n, t, prod))
     assert violations == []
     _report(2, True, "500 signals, zero violations")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tao_floor_is_tight_at_prime_widths(data):
+    """Beside criterion 2: at prime p, |supp f| + |supp f^| >= p + 1 (Tao 2005).
+
+    f lives on a random k-subset S and its spectrum vanishes on k - 1 chosen
+    frequencies: it is the null vector of that (k - 1) x k DFT submatrix. Every
+    square DFT minor at prime p is nonzero (Chebotarev), so f is nonzero on all
+    of S and its spectrum on every other frequency, which meets the floor exactly.
+    """
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+    k = data.draw(st.integers(1, p))
+    supp = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k, unique=True))
+    zeros = data.draw(st.lists(st.integers(0, p - 1), min_size=k - 1, max_size=k - 1,
+                               unique=True))
+    sub = np.exp(-2j * np.pi * np.outer(zeros, supp) / p)
+    vals = np.zeros((1, p), dtype=complex)
+    vals[0, supp] = np.linalg.svd(sub)[2][-1].conj()
+    sig = Signal2D(dims=GridDims(n=p, t=1), values=vals)
+    assert len(support(sig)) + len(support(gabor_row(sig))) == p + 1
 
 
 def test_criterion_3_certified_pairs_recover_exhaustively():

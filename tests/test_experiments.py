@@ -78,12 +78,13 @@ class TestExperimentConfig:
 
     def test_from_mapping_defaults(self):
         cfg = config_from_mapping({
-            "n": 8, "t": 2, "theta": 0.0, "e_max_target": 1, "trials": 1,
-            "base_seed": 0, "mode": "RowRecovery",
+            "n": 8, "t": 2, "theta": 0.0, "e_max_target": 1, "mode": "RowRecovery",
         })
+        assert cfg.trials == 1 and cfg.base_seed == 0
         assert cfg.profile_shape is ProfileShape.UniformRows
         assert cfg.sweep == ()
         assert cfg.tol == 1e-9
+        assert cfg.output_path is None
 
     def test_from_mapping_missing_field(self):
         with pytest.raises(ValueError, match="missing required field"):
