@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    flags = vars(args)
+    flags = dict(vars(args))
     mode = _MODE_FOR_COMMAND[flags.pop("command")]
     mapping = {}
     path = flags.pop("config", None)

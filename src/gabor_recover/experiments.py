@@ -137,15 +137,15 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     A key left out takes the field's default, as does an ``output_path`` of
     ``null``; a missing required key or a value of the wrong type is a ValueError.
     """
-    optional = {"trials": int, "base_seed": int, "profile_shape": ProfileShape,
-                "sweep": tuple, "tol": float, "output_path": lambda path: path}
+    casts = {"trials": int, "base_seed": int, "profile_shape": ProfileShape, "sweep": tuple,
+             "tol": float, "output_path": lambda path: path}
     try:
         return ExperimentConfig(
             dims=GridDims(n=int(data["n"]), t=int(data["t"])),
             theta=float(data["theta"]),
             e_max_target=int(data["e_max_target"]),
             mode=ExperimentMode(data["mode"]),
-            **{key: cast(data[key]) for key, cast in optional.items() if key in data},
+            **{key: cast(data[key]) for key, cast in casts.items() if key in data},
         )
     except KeyError as exc:
         raise ValueError(f"config is missing required field {exc.args[0]!r}") from exc
