@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError(f"mode must be an ExperimentMode, got {self.mode!r}")
         if not isinstance(self.profile_shape, ProfileShape):
             raise ValueError(f"profile_shape must be a ProfileShape, got {self.profile_shape!r}")
+        if not isinstance(self.output_path, (str, os.PathLike, type(None))):
+            raise ValueError(f"output_path must be a path or None, got {self.output_path!r}")
         # every trial mode checks the shape, sweeps too, though they draw no signal
         if (self.profile_shape is ProfileShape.SkewedRows
                 and self.mode is not ExperimentMode.TailBounds):

@@ -4,7 +4,9 @@ Each test prints a ``CRITERION n: PASS/FAIL`` line (visible with ``-s`` or in
 the failure report) and then asserts, so the verbose test listing doubles as
 the scorecard.  Criterion 4 is expected to fail: the slowest-decaying cell of
 its parameter grid genuinely violates the squared-width decay it checks.  The
-test states the offending cell rather than hiding it.
+test states the offending cell rather than hiding it.  The property test
+beside criterion 2 (Tao's floor at prime widths) is not a criterion and
+prints no scorecard line.
 """
 
 import itertools

@@ -105,12 +105,14 @@ class TestExperimentCommands:
         assert code == 1
         assert "missing required field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [{"tol": None}, {"n": [16]}, {"sweep": 16}],
-                             ids=["null-tol", "list-n", "number-sweep"])
-    def test_malformed_config_value_exits_one(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("bad", [{"tol": None}, {"n": [16]}, {"sweep": 16},
+                                     {"output_path": 5}],
+                             ids=["null-tol", "list-n", "number-sweep", "number-output-path"])
+    def test_malformed_config_value_exits_one(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.chdir(tmp_path)  # the default output directory
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 16, "t": 2, "theta": 0.1, "e_max_target": 2, **bad}))
-        code = main(["row-recovery", "--config", str(cfg), "--out", str(tmp_path)])
+        code = main(["row-recovery", "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
