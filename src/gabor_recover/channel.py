@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import GridDims, Signal2D
+from .signal import GridDims, Signal2D, _grid_array, _strict_int
 from .transforms import TransformKind
 
 __all__ = [
@@ -39,13 +39,7 @@ class ErasurePattern:
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.shape != (self.dims.t, self.dims.n):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match dims "
-                f"(t={self.dims.t}, n={self.dims.n})"
-            )
-        mask = mask.copy()
+        mask = _grid_array(self.mask, self.dims, bool, "mask")
         mask.flags.writeable = False
         self.mask = mask
 
@@ -111,12 +105,7 @@ def apply_erasure(transform: Signal2D, pattern: ErasurePattern,
         raise ValueError(
             f"transform dims {transform.dims} do not match pattern dims {pattern.dims}"
         )
-    return RecoveryProblem(
-        dims=transform.dims,
-        kind=kind,
-        observed_values=transform.values,
-        pattern=pattern,
-    )
+    return RecoveryProblem(kind=kind, observed_values=transform.values, pattern=pattern)
 
 
 def pattern_to_json(pattern: ErasurePattern) -> str:
@@ -133,8 +122,8 @@ def pattern_to_json(pattern: ErasurePattern) -> str:
 def pattern_from_json(text: str) -> ErasurePattern:
     payload = json.loads(text)
     try:
-        dims = GridDims(int(payload["n"]), int(payload["t"]))
-        positions = [(int(x), int(y)) for x, y in payload["missing"]]
+        dims = GridDims(_strict_int(payload["n"], "n"), _strict_int(payload["t"], "t"))
+        positions = [(_strict_int(x, "x"), _strict_int(y, "y")) for x, y in payload["missing"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed pattern JSON: {exc}") from exc
     return ErasurePattern.from_missing(dims, positions)

@@ -16,6 +16,7 @@ import sys
 from .experiments import (
     ExperimentConfig,
     ExperimentMode,
+    ProfileShape,
     _mode_token,
     config_from_mapping,
     emit_results,
@@ -34,13 +35,11 @@ from .transforms import (
 # each subcommand is its mode's artifact token with dashes
 _MODE_FOR_COMMAND = {_mode_token(mode.value).replace("_", "-"): mode for mode in ExperimentMode}
 
+# each transform kind's (forward, inverse) pair
 _TRANSFORMS = {
-    ("fourier2d", False): dft2,
-    ("fourier2d", True): idft2,
-    ("gabor-row", False): gabor_row,
-    ("gabor-row", True): gabor_row_inverse,
-    ("gabor-col", False): gabor_col,
-    ("gabor-col", True): gabor_col_inverse,
+    "fourier2d": (dft2, idft2),
+    "gabor-row": (gabor_row, gabor_row_inverse),
+    "gabor-col": (gabor_col, gabor_col_inverse),
 }
 
 
@@ -62,7 +61,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
                      help=f"feasibility tolerance (default {ExperimentConfig.tol:g})")
     sub.add_argument("--sweep", help="comma-separated n values, e.g. 32,64,128")
     sub.add_argument("--profile-shape", dest="profile_shape",
-                     choices=["UniformRows", "SkewedRows"],
+                     choices=[shape.value for shape in ProfileShape],
                      help="signal family for generated trials")
 
 
@@ -86,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("transform", help="apply one transform to a JSON signal")
     tr.add_argument("--input", required=True, help="path to a signal JSON file")
-    tr.add_argument("--kind", required=True,
-                    choices=["fourier2d", "gabor-row", "gabor-col"])
+    tr.add_argument("--kind", required=True, choices=list(_TRANSFORMS))
     tr.add_argument("--inverse", action="store_true", help="apply the inverse transform")
     tr.add_argument("--out", help="output file (default: stdout)")
     return parser
@@ -132,7 +130,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise OSError(f"cannot read signal {args.input}: {exc}") from exc
     signal = signal_from_json(payload)
-    result = _TRANSFORMS[(args.kind, bool(args.inverse))](signal)
+    result = _TRANSFORMS[args.kind][args.inverse](signal)
     rendered = signal_to_json(result)
     if args.out:
         try:

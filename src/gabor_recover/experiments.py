@@ -32,8 +32,8 @@ from .probbounds import (
     prob_mmax_below,
     prob_mmin_below,
 )
-from .recovery import DEFAULT_FEAS_TOL, RowStatus, recover_rows, recover_two_stage
-from .signal import GridDims, Signal2D, column_support_max, support_profile
+from .recovery import DEFAULT_FEAS_TOL, RowStatus, ds_condition, recover_rows, recover_two_stage
+from .signal import GridDims, Signal2D, _strict_int, column_support_max, support_profile
 from .transforms import gabor_col, gabor_row
 
 __all__ = [
@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if not (1 <= self.e_max_target <= self.dims.n):
             raise ValueError(
                 f"e_max_target must lie in [1, n={self.dims.n}], got {self.e_max_target}"
@@ -115,7 +117,7 @@ class ExperimentConfig:
         if (self.profile_shape is ProfileShape.SkewedRows
                 and self.mode is not ExperimentMode.TailBounds):
             _skewed_levels(self.dims.t, self.e_max_target)
-        sweep = tuple(int(v) for v in self.sweep)
+        sweep = tuple(_strict_int(v, "sweep value") for v in self.sweep)
         if any(b <= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if any(v < 1 for v in sweep):
@@ -137,16 +139,19 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     """Build a config from a plain mapping (the JSON config file format).
 
     A key left out takes the field's default, as does an ``output_path`` of
-    ``null``; a missing required key or a value of the wrong type is a ValueError.
+    ``null``. A missing required key, a value of the wrong type or a non-integral
+    number in an integer field is a ValueError.
     """
-    casts = {"trials": int, "base_seed": int, "profile_shape": ProfileShape, "sweep": tuple,
-             "tol": float, "output_path": lambda path: path}
+    casts = {"profile_shape": ProfileShape, "sweep": tuple, "tol": float,
+             "output_path": lambda path: path}
     try:
+        ints = {key: _strict_int(data[key], key) for key in ("trials", "base_seed") if key in data}
         return ExperimentConfig(
-            dims=GridDims(n=int(data["n"]), t=int(data["t"])),
+            dims=GridDims(n=_strict_int(data["n"], "n"), t=_strict_int(data["t"], "t")),
             theta=float(data["theta"]),
-            e_max_target=int(data["e_max_target"]),
+            e_max_target=_strict_int(data["e_max_target"], "e_max_target"),
             mode=ExperimentMode(data["mode"]),
+            **ints,
             **{key: cast(data[key]) for key, cast in casts.items() if key in data},
         )
     except KeyError as exc:
@@ -342,10 +347,10 @@ def run_experiment(config: ExperimentConfig):
     else:
         records = [_run_trial(config, i) for i in range(config.trials)]
 
+    # the row certificate 2 * e_max * m < n, for each trial's worst and best row
+    below = ds_condition(config.e_max_target, np.array([(r.m_max, r.m_min) for r in records]), n)
+    mmax_below, mmin_below = (int(count) for count in below.sum(axis=0))
     c = n / (2 * config.e_max_target)
-    guarded = [r for r in records if r.m_max < c]
-    mmax_below = len(guarded)
-    mmin_below = sum(1 for r in records if r.m_min < c)
     summary["threshold_c"] = c
     summary["mmax_below_count"] = mmax_below
     summary["mmin_below_count"] = mmin_below
@@ -361,12 +366,13 @@ def run_experiment(config: ExperimentConfig):
         summary["wilson_95"] = wilson_interval(mmin_below, config.trials)
         summary["closed_form"] = prob_mmin_below(n, t, config.theta, c)
     else:
-        exact = sum(1 for r in records if r.exact_recovery)
+        exact_flags = np.array([r.exact_recovery for r in records])
+        exact = int(exact_flags.sum())
         summary["exact_count"] = exact
         summary["exact_rate"] = exact / config.trials
         summary["wilson_95"] = wilson_interval(exact, config.trials)
         summary["guarded_trials"] = mmax_below
-        summary["guarded_exact"] = sum(1 for r in guarded if r.exact_recovery)
+        summary["guarded_exact"] = int((exact_flags & below[:, 0]).sum())
         summary["closed_form"] = prob_mmax_below(n, t, config.theta, c)
 
     summary["wall_clock"] = {"elapsed_s": time.perf_counter() - start}

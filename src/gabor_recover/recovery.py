@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .signal import GridDims, Signal2D, signal_payload
-from .transforms import TransformKind
+from .signal import GridDims, Signal2D, _grid_array, signal_payload
+from .transforms import TransformKind, _dft, _idft
 
 if TYPE_CHECKING:
     from .channel import ErasurePattern
@@ -88,23 +88,16 @@ class RecoveryProblem:
     """Surviving transform values plus the pattern that produced them.
 
     ``observed_values`` is dense ``(t, n)`` with NaN poison at missing
-    positions; the pattern's mask is the authority on what is observed.
+    positions; the pattern's mask is the authority on what is observed, and
+    its dims are the problem's.
     """
 
-    dims: GridDims
     kind: TransformKind
     observed_values: np.ndarray
     pattern: "ErasurePattern"
 
     def __post_init__(self):
-        vals = np.asarray(self.observed_values, dtype=np.complex128).copy()
-        if vals.shape != (self.dims.t, self.dims.n):
-            raise ValueError(
-                f"observed values shape {vals.shape} does not match dims "
-                f"(t={self.dims.t}, n={self.dims.n})"
-            )
-        if self.pattern.dims != self.dims:
-            raise ValueError("pattern dims do not match problem dims")
+        vals = _grid_array(self.observed_values, self.dims, np.complex128, "observed values")
         if not isinstance(self.kind, TransformKind):
             raise ValueError(f"kind must be a TransformKind, got {self.kind!r}")
         mask = self.pattern.mask
@@ -114,6 +107,10 @@ class RecoveryProblem:
         vals[mask] = complex(np.nan, np.nan)
         vals.flags.writeable = False
         self.observed_values = vals
+
+    @property
+    def dims(self) -> GridDims:
+        return self.pattern.dims
 
 
 @dataclass
@@ -150,17 +147,6 @@ def ds_condition(support_size, missing_size, n: int, t: int = 1):
 # ----------------------------------------------------------------------------
 # solver engine (signal orientation only; see _solve_oriented for the other)
 # ----------------------------------------------------------------------------
-
-def _forward(u: np.ndarray) -> np.ndarray:
-    """Apply the unitary DFT along the last axis (unknown -> measurement space)."""
-    n = u.shape[-1]
-    return np.fft.fft(u, axis=-1) / math.sqrt(n)
-
-
-def _adjoint(w: np.ndarray) -> np.ndarray:
-    n = w.shape[-1]
-    return np.fft.ifft(w, axis=-1) * math.sqrt(n)
-
 
 def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
     """Solve ``A^H A x = rhs`` per row, ``A`` its observed DFT rows on its support ``S``.
@@ -218,14 +204,14 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
         S, bi, oi, si = S[i], b[i], obs[i], spec[i]
         # no dense fallback: a Gram failing Cholesky has sigma_min(A) <~ 1e-8, so a dual needs
         # ||lam|| = ||E^H lam|| >= |<v_min, signs>|/sigma_min, past the checks' sqrt(n)(1 + 1e-7)
-        coeffs, fitted = _normal_solve(S, _adjoint(bi), si)
+        coeffs, fitted = _normal_solve(S, _idft(bi), si)
         # drop numerically dead entries once, so the sign vector is meaningful
         mags = np.abs(coeffs)
         alive = mags > 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1e-300)
         refit = fitted & (alive.sum(axis=1) < grown[i])
         if refit.any():
             S[refit] = alive[refit]
-            coeffs[refit], fitted[refit] = _normal_solve(S[refit], _adjoint(bi[refit]), si[refit])
+            coeffs[refit], fitted[refit] = _normal_solve(S[refit], _idft(bi[refit]), si[refit])
         res = _observed_residual(coeffs, bi, oi)
         # an exact-0 coefficient on the support has no sign, so no dual certificate
         j = np.nonzero(fitted & (res <= feas[i]) & ~(S & (coeffs == 0)).any(axis=1))[0]
@@ -233,7 +219,7 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
         signs = np.divide(c, np.abs(c), out=np.zeros_like(c), where=S)
         # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs
         w, gram_ok = _normal_solve(S, signs, si[j])
-        dual = _adjoint(oi[j] * _forward(w))
+        dual = _idft(oi[j] * _dft(w))
         j = j[gram_ok & (np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
               & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7)]
         took[i[j]] = True
@@ -251,14 +237,14 @@ def _dr_step(z: np.ndarray, scale: np.ndarray, b: np.ndarray, obs: np.ndarray):
     """
     mag = np.abs(z)
     x = z * np.maximum(1.0 - 0.25 * scale[:, None] / np.maximum(mag, 1e-300), 0.0)
-    aw = _forward(2.0 * x - z)
+    aw = _dft(2.0 * x - z)
     np.copyto(aw, b, where=obs)
-    return x, _adjoint(aw)
+    return x, _idft(aw)
 
 
 def _observed_residual(u: np.ndarray, b: np.ndarray, obs: np.ndarray):
     """Per row, max modulus of the constraint mismatch where ``obs`` is set (0 if nowhere)."""
-    return np.where(obs, np.abs(_forward(u) - b), 0.0).max(axis=-1)
+    return np.where(obs, np.abs(_dft(u) - b), 0.0).max(axis=-1)
 
 
 def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
@@ -289,12 +275,12 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     # rows with every position observed invert directly
     full = obs.all(axis=1)
     if full.any():
-        sols[full] = _adjoint(b[full])
+        sols[full] = _idft(b[full])
         conv[full] = True
 
     pending = ~full
     # rows whose observations are all zero: the zero vector is the unique minimizer
-    z0 = _adjoint(b[pending])
+    z0 = _idft(b[pending])
     scale = np.abs(z0).max(axis=1)
     pend_idx = np.nonzero(pending)[0]
     zero_rows = pend_idx[scale == 0.0]
@@ -368,7 +354,7 @@ def _solve_oriented(values, missing_mask, domain: L1Domain, tol: float, max_iter
     if domain is L1Domain.MinimizeFreqL1:
         sols, conv, resid, iters = _solve_l1_batch(np.conj(values), missing_mask, tol=tol,
                                                    max_iter=max_iter)
-        return np.conj(_forward(sols)), conv, resid, iters
+        return np.conj(_dft(sols)), conv, resid, iters
     raise ValueError(f"unknown domain {domain!r}")
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_REL_TOL",
     "GridDims",
     "Signal2D",
     "SupportProfile",
@@ -48,6 +49,25 @@ class GridDims:
         return self.n * self.t
 
 
+def _grid_array(values, dims: GridDims, dtype, name: str) -> np.ndarray:
+    """A fresh ``dtype`` copy of ``values``, which must have the grid's ``(t, n)`` shape."""
+    arr = np.asarray(values, dtype=dtype).copy()
+    if arr.shape != (dims.t, dims.n):
+        raise ValueError(
+            f"{name} shape {arr.shape} does not match dims (t={dims.t}, n={dims.n})"
+        )
+    return arr
+
+
+def _strict_int(value, name: str) -> int:
+    """An integer read from outside: an int or an integral float, never a bool; else ValueError."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Signal2D:
     """A dense complex signal on the grid.
@@ -61,15 +81,9 @@ class Signal2D:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.dims.t, self.dims.n):
-            raise ValueError(
-                f"values shape {vals.shape} does not match dims "
-                f"(t={self.dims.t}, n={self.dims.n})"
-            )
+        vals = _grid_array(self.values, self.dims, np.complex128, "values")
         if not np.all(np.isfinite(vals)):
             raise ValueError("signal entries must be finite")
-        vals = vals.copy()
         vals.flags.writeable = False
         self.values = vals
 
@@ -84,20 +98,22 @@ class Signal2D:
 
 @dataclass(frozen=True)
 class SupportProfile:
-    """Per-row support sizes plus their max and total."""
+    """Per-row support sizes; their max and total are computed from them."""
 
     row_supports: tuple
-    e_max: int
-    total_support: int
 
     def __post_init__(self):
         object.__setattr__(self, "row_supports", tuple(int(s) for s in self.row_supports))
         if any(s < 0 for s in self.row_supports):
             raise ValueError("row supports must be non-negative")
-        if self.e_max != (max(self.row_supports) if self.row_supports else 0):
-            raise ValueError("e_max must equal the max row support")
-        if self.total_support != sum(self.row_supports):
-            raise ValueError("total_support must equal the sum of row supports")
+
+    @property
+    def e_max(self) -> int:
+        return max(self.row_supports, default=0)
+
+    @property
+    def total_support(self) -> int:
+        return sum(self.row_supports)
 
 
 def _threshold(signal: Signal2D, tol) -> float:
@@ -124,13 +140,7 @@ def support(signal: Signal2D, tol=None) -> set:
 def support_profile(signal: Signal2D, tol=None) -> SupportProfile:
     """Per-row support counts of the signal."""
     thr = _threshold(signal, tol)
-    counts = (np.abs(signal.values) > thr).sum(axis=1)
-    row_supports = tuple(int(c) for c in counts)
-    return SupportProfile(
-        row_supports=row_supports,
-        e_max=max(row_supports),
-        total_support=sum(row_supports),
-    )
+    return SupportProfile(row_supports=(np.abs(signal.values) > thr).sum(axis=1))
 
 
 def column_support_max(signal: Signal2D, tol=None) -> int:
@@ -168,7 +178,7 @@ def signal_from_json(text: str) -> Signal2D:
     """Inverse of :func:`signal_to_json`, validating shape and finiteness."""
     payload = json.loads(text)
     try:
-        dims = GridDims(int(payload["n"]), int(payload["t"]))
+        dims = GridDims(_strict_int(payload["n"], "n"), _strict_int(payload["t"], "t"))
         re = np.asarray(payload["re"], dtype=np.float64)
         im = np.asarray(payload["im"], dtype=np.float64)
     except (KeyError, TypeError) as exc:

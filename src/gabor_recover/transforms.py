@@ -14,11 +14,12 @@ All of them use numpy's FFT with matching normalization.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
 
-from .signal import GridDims, Signal2D
+from .signal import Signal2D
 
 __all__ = [
     "TransformKind",
@@ -39,39 +40,40 @@ class TransformKind(Enum):
     GaborCol = "GaborCol"
 
 
-def _wrap(signal: Signal2D, values: np.ndarray) -> Signal2D:
-    return Signal2D(dims=signal.dims, values=values)
+def _dft(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The unitary 1D DFT of ``v`` along ``axis``."""
+    return np.fft.fft(v, axis=axis) / math.sqrt(v.shape[axis])
+
+
+def _idft(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The inverse of :func:`_dft`, also its adjoint."""
+    return np.fft.ifft(v, axis=axis) * math.sqrt(v.shape[axis])
 
 
 def gabor_row(signal: Signal2D) -> Signal2D:
     """Forward 1D unitary DFT of every row: output[y, m] = DFT_n(row y)[m]."""
-    n = signal.dims.n
-    return _wrap(signal, np.fft.fft(signal.values, axis=1) / np.sqrt(n))
+    return Signal2D(dims=signal.dims, values=_dft(signal.values, axis=1))
 
 
 def gabor_row_inverse(signal: Signal2D) -> Signal2D:
-    n = signal.dims.n
-    return _wrap(signal, np.fft.ifft(signal.values, axis=1) * np.sqrt(n))
+    return Signal2D(dims=signal.dims, values=_idft(signal.values, axis=1))
 
 
 def gabor_col(signal: Signal2D) -> Signal2D:
     """Forward 1D unitary DFT of every column: output[k, x] = DFT_t(col x)[k]."""
-    t = signal.dims.t
-    return _wrap(signal, np.fft.fft(signal.values, axis=0) / np.sqrt(t))
+    return Signal2D(dims=signal.dims, values=_dft(signal.values, axis=0))
 
 
 def gabor_col_inverse(signal: Signal2D) -> Signal2D:
-    t = signal.dims.t
-    return _wrap(signal, np.fft.ifft(signal.values, axis=0) * np.sqrt(t))
+    return Signal2D(dims=signal.dims, values=_idft(signal.values, axis=0))
 
 
 def dft2(signal: Signal2D) -> Signal2D:
     """Full 2D unitary DFT; equals the row transform followed by the column one."""
     n, t = signal.dims.n, signal.dims.t
-    return _wrap(signal, np.fft.fft2(signal.values) / np.sqrt(n * t))
+    return Signal2D(dims=signal.dims, values=np.fft.fft2(signal.values) / np.sqrt(n * t))
 
 
 def idft2(signal: Signal2D) -> Signal2D:
     n, t = signal.dims.n, signal.dims.t
-    return _wrap(signal, np.fft.ifft2(signal.values) * np.sqrt(n * t))
-
+    return Signal2D(dims=signal.dims, values=np.fft.ifft2(signal.values) * np.sqrt(n * t))

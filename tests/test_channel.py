@@ -193,3 +193,11 @@ class TestPatternJson:
             pattern_from_json(json.dumps({"n": 4, "t": 3}))
         with pytest.raises(ValueError):
             pattern_from_json(json.dumps({"n": 4, "t": 3, "missing": [[9, 9]]}))
+
+    @pytest.mark.parametrize("payload", [{"n": 4, "t": 3, "missing": [[1.7, 0]]},
+                                         {"n": 4.5, "t": 3, "missing": []},
+                                         {"n": 4, "t": True, "missing": []}])
+    def test_rejects_non_integral_numbers(self, payload):
+        # an integer field reads 4 or 4.0, never a truncated 1.7 or a bool
+        with pytest.raises(ValueError):
+            pattern_from_json(json.dumps(payload))

@@ -106,8 +106,10 @@ class TestExperimentCommands:
         assert "missing required field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [{"tol": None}, {"n": [16]}, {"sweep": 16},
-                                     {"output_path": 5}],
-                             ids=["null-tol", "list-n", "number-sweep", "number-output-path"])
+                                     {"output_path": 5}, {"n": 16.9}, {"trials": True},
+                                     {"sweep": [8, 16.5]}],
+                             ids=["null-tol", "list-n", "number-sweep", "number-output-path",
+                                  "fractional-n", "bool-trials", "fractional-sweep"])
     def test_malformed_config_value_exits_one(self, tmp_path, monkeypatch, capsys, bad):
         monkeypatch.chdir(tmp_path)  # the default output directory
         cfg = tmp_path / "cfg.json"
@@ -116,6 +118,13 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+        assert not list(tmp_path.glob("*summary.json"))
+
+    def test_negative_seed_names_the_field(self, tmp_path, capsys):
+        code = main(["mmax-sweep", "--n", "8", "--t", "2", "--theta", "0.1",
+                     "--e-max", "1", "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "base_seed must be non-negative" in capsys.readouterr().err
         assert not list(tmp_path.glob("*summary.json"))
 
     def test_unreadable_config_exits_two(self, tmp_path, capsys):
@@ -155,6 +164,14 @@ class TestTransformCommand:
     def test_malformed_signal_exits_one(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
         src.write_text(json.dumps({"n": 2, "t": 2, "re": [1], "im": [0]}))
+        code = main(["transform", "--input", str(src), "--kind", "fourier2d"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_integral_dims_exit_one(self, tmp_path, capsys):
+        # n=2.9 must not load as a 2-wide signal
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps({"n": 2.9, "t": 1, "re": [1, 0], "im": [0, 0]}))
         code = main(["transform", "--input", str(src), "--kind", "fourier2d"])
         assert code == 1
         assert "error:" in capsys.readouterr().err

@@ -368,6 +368,26 @@ class TestModulationCovariance:
         assert np.abs(l1_side(moved, domain) - l1_side(sols, domain) * ramp).max() <= 1e-9
 
 
+class TestDomainSymmetry:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2**32 - 1),
+           max_iter=st.sampled_from([8, 64, recovery.DEFAULT_MAX_ITER]))
+    def test_spectral_solve_is_the_reversed_signal_solve(self, n, seed, max_iter):
+        # applying the unitary DFT twice reverses the index order, so F^H u at k is
+        # (F u) at -k: matching samples s with the spectrum u of least L1 norm is the
+        # signal-side problem for the data s[-k] on the reversed mask, and the signal
+        # is the inverse DFT of its solution
+        _, masks, data = planted_batch(seed, n, L1Domain.MinimizeFreqL1)
+        samples = np.where(masks, 0, data)
+        rev = -np.arange(n) % n
+        sols, conv, _ = l1_recover_many(samples, masks, L1Domain.MinimizeFreqL1,
+                                        max_iter=max_iter)
+        spec, spec_conv, _ = l1_recover_many(samples[:, rev], masks[:, rev],
+                                             L1Domain.MinimizeSignalL1, max_iter=max_iter)
+        assert spec_conv.tolist() == conv.tolist()
+        assert np.abs(sols - np.fft.ifft(spec, axis=1) * math.sqrt(n)).max() <= 1e-9
+
+
 def tiers(x):
     # the engine's support tiers of iterates whose nonzero entries all exceed
     # 1e-2 of their row's peak
@@ -456,13 +476,13 @@ class TestRecoveryProblem:
         vals = np.ones((2, 4), dtype=complex)
         vals[1, 1] = np.nan
         with pytest.raises(ValueError):
-            RecoveryProblem(dims=dims, kind=TransformKind.GaborRow,
+            RecoveryProblem(kind=TransformKind.GaborRow,
                             observed_values=vals, pattern=pat)
 
     def test_poisons_missing_and_locks(self):
         dims = GridDims(n=4, t=2)
         pat = ErasurePattern.from_missing(dims, [(2, 1)])
-        prob = RecoveryProblem(dims=dims, kind=TransformKind.GaborRow,
+        prob = RecoveryProblem(kind=TransformKind.GaborRow,
                                observed_values=np.ones((2, 4), complex), pattern=pat)
         assert np.isnan(prob.observed_values[1, 2])
         with pytest.raises(ValueError):
@@ -477,14 +497,14 @@ class TestRecoveryProblem:
         vals = np.ones((2, 4), dtype=complex)
         vals[1, 1] = complex(1.0, np.inf)
         with pytest.raises(ValueError):
-            RecoveryProblem(dims=dims, kind=TransformKind.GaborRow,
+            RecoveryProblem(kind=TransformKind.GaborRow,
                             observed_values=vals, pattern=pat)
 
     def test_rejects_wrong_kind_object(self):
         dims = GridDims(n=4, t=2)
         pat = ErasurePattern.from_missing(dims, [])
         with pytest.raises(ValueError):
-            RecoveryProblem(dims=dims, kind="GaborRow",
+            RecoveryProblem(kind="GaborRow",
                             observed_values=np.ones((2, 4), complex), pattern=pat)
 
 
@@ -720,7 +740,7 @@ class TestReportJson:
     def test_recovered_null_when_nothing_recovered(self):
         dims = GridDims(n=4, t=1)
         pat = sample_erasure(dims, 1.0, seed=0)
-        prob = RecoveryProblem(dims=dims, kind=TransformKind.GaborRow,
+        prob = RecoveryProblem(kind=TransformKind.GaborRow,
                                observed_values=np.zeros((1, 4), complex), pattern=pat)
         data = json.loads(report_to_json(recover_rows(prob)))
         assert data["recovered"] is None

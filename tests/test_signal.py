@@ -6,7 +6,6 @@ import pytest
 from gabor_recover.signal import (
     GridDims,
     Signal2D,
-    SupportProfile,
     column_support_max,
     signal_from_json,
     signal_to_json,
@@ -131,12 +130,6 @@ class TestSupportProfile:
             prof = support_profile(sig, tol=0.0)
             assert 0 <= prof.e_max <= 7
             assert prof.e_max <= prof.total_support <= 4 * prof.e_max
-
-    def test_consistency_validated(self):
-        with pytest.raises(ValueError):
-            SupportProfile(row_supports=(1, 2), e_max=3, total_support=3)
-        with pytest.raises(ValueError):
-            SupportProfile(row_supports=(1, 2), e_max=2, total_support=4)
 
 
 class TestColumnSupportMax:
