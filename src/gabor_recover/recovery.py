@@ -30,6 +30,7 @@ row stage could not produce by running the dual orientation down each column.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -406,15 +407,102 @@ def l1_recover_many(values: np.ndarray, missing_mask: np.ndarray,
     return _solve_oriented(values, missing_mask, domain, tol, max_iter)[:3]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # decide every q < 3.1e23
+_PRIMES_PAST = 2**62  # the exact rank works modulo primes past this
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin primality, deterministic with these bases below 3.1e23."""
+    if q < 2:
+        return False
+    for a in _MR_BASES:
+        if q % a == 0:
+            return q == a
+    d, r = q - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=4096)
+def _next_degree_one_prime(n: int, after: int) -> tuple[int, int]:
+    """The first prime ``p = 1 (mod n)`` past ``after``, with an element ``w`` of order ``n`` mod ``p``."""
+    p = after + 1 + (-after) % n
+    while not _is_prime(p):
+        p += n
+    factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    w = next(w for w in (pow(g, (p - 1) // n, p) for g in range(2, p))
+             if all(pow(w, n // q, p) != 1 for q in factors))
+    return p, w
+
+
+def _rank_mod(rows: list, p: int) -> int:
+    """Rank over ``F_p`` of the matrix with these rows."""
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        c = next((i for i, v in enumerate(pivot) if v), None)
+        if c is None:
+            continue
+        rank += 1
+        inv = pow(pivot[c], -1, p)
+        for i, row in enumerate(rows):
+            if row[c]:
+                f = row[c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(row, pivot)]
+    return rank
+
+
+def _dft_rank(rows, cols, n: int) -> int:
+    """Exact rank of the DFT submatrix ``[zeta_n**(-j*k)]``, ``j`` in ``rows``, ``k`` in ``cols``.
+
+    Each prime ``p = 1 (mod n)`` with ``w`` of order ``n`` mod ``p`` gives
+    ``phi(n)`` prime ideals of norm ``p`` in ``Z[zeta_n]``, one per map
+    ``zeta_n -> w**u`` with ``u`` a unit mod ``n``, and the rank modulo each
+    is a lower bound on the rank. If the rank were more than ``r``, some
+    ``(r+1)``-minor would be a nonzero algebraic integer, of norm at most
+    ``(r+1)**((r+1)*phi(n)/2)`` (Hadamard, in every embedding), lying in
+    every ideal where the rank is at most ``r``. So once the norms of those
+    ideals multiply past that bound, the rank is ``r``.
+    """
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    full, rank, norms, p = min(len(rows), len(cols)), 0, 1, _PRIMES_PAST
+    while True:
+        p, w = _next_degree_one_prime(n, p)
+        for u in units:
+            power = [pow(w, u * t, p) for t in range(n)]
+            rank = max(rank, _rank_mod([[power[-j * k % n] for j in rows] for k in cols], p))
+            norms *= p
+            if rank == full or norms**2 > (rank + 1) ** ((rank + 1) * len(units)):
+                return rank
+
+
 def uniqueness_oracle_1d(support, missing, n: int) -> bool:
     """Whether the observed positions pin down any signal on this support.
 
-    That is, whether the unitary DFT submatrix on the non-missing transform
-    rows and the support columns has full column rank. At prime ``n`` every
-    square submatrix is nonsingular (Chebotarev; Tao 2005), so this is exactly
-    ``|support| <= |observed|``; at composite ``n`` it is a numerical rank test
-    at ``np.linalg.matrix_rank``'s default tolerance (well-posedness in floating
-    point, not exact uniqueness). Independent of the L1 solver, it checks it.
+    That is, whether the DFT submatrix on the non-missing transform rows and
+    the support columns has full column rank. It is exact at every ``n``.
+    Beyond the trivial cases it decides, in order:
+
+    1. Donoho-Stark (1989): two signals on the support that agree off the
+       missing set differ by some ``g`` with ``|supp g| * |supp g^| >= n``
+       unless ``g = 0``, so ``|support| * |missing| < n`` is unique;
+    2. Chebotarev (Tao 2005): at prime ``n`` every square submatrix is
+       nonsingular, so the pair is unique iff ``|support| <= |observed|``;
+    3. otherwise the exact rank in ``Z[zeta_n]``, modulo prime ideals of
+       degree one, in integer arithmetic.
+
+    Independent of the L1 solver, it checks it.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -426,12 +514,12 @@ def uniqueness_oracle_1d(support, missing, n: int) -> bool:
         raise ValueError("missing positions must lie in range(n)")
     if not support:
         return True
-    obs = np.array([m for m in range(n) if m not in missing], dtype=int)
-    if len(support) > obs.size or not missing or all(n % d for d in range(2, math.isqrt(n) + 1)):
-        # too many unknowns, the full unitary matrix, or a prime width (n = 1 included)
-        return len(support) <= obs.size
-    sub = np.exp(-2j * np.pi * np.outer(obs, support) / n) / math.sqrt(n)
-    return int(np.linalg.matrix_rank(sub)) == len(support)
+    s, n_obs = len(support), n - len(missing)
+    if s > n_obs or not missing or s * len(missing) < n or _is_prime(n):
+        # too many unknowns, the full unitary matrix, Donoho-Stark, or Chebotarev
+        return s <= n_obs
+    observed = [m for m in range(n) if m not in missing]
+    return _dft_rank(observed, support, n) == s
 
 
 # ----------------------------------------------------------------------------

@@ -90,12 +90,33 @@ def width_support_missing(draw, widths):
     return n, draw(st.sets(positions, min_size=1)), draw(st.sets(positions, max_size=n - 1))
 
 
-def explicit_rank_test(n, support, missing):
-    """Whether the unitary DFT submatrix on the observed rows and ``support`` has full rank."""
+def dft_submatrix(n, support, missing):
+    """The unitary DFT submatrix on the observed rows and the ``support`` columns."""
     k = np.arange(n)
     F = np.exp(-2j * np.pi * np.outer(k, k) / n) / math.sqrt(n)
-    sub = F[np.ix_([m for m in k if m not in missing], sorted(support))]
-    return int(np.linalg.matrix_rank(sub)) == len(support)
+    return F[np.ix_([m for m in k if m not in missing], sorted(support))]
+
+
+def explicit_rank_test(n, support, missing):
+    """Whether that submatrix has full column rank at ``matrix_rank``'s default cutoff."""
+    return int(np.linalg.matrix_rank(dft_submatrix(n, support, missing))) == len(support)
+
+
+def sigma_ratio(n, support, missing):
+    """sigma_min/sigma_max of that submatrix, 0 when the columns outnumber the rows."""
+    sv = np.linalg.svd(dft_submatrix(n, support, missing), compute_uv=False)
+    return float(sv[len(support) - 1] / sv[0]) if len(support) <= sv.size else 0.0
+
+
+def picket_fences(n):
+    """``(support, missing)`` of the Donoho-Stark witnesses ``chi_b * 1_{a+H}`` on ``Z_n``.
+
+    ``H`` runs over the subgroups of ``Z_n`` and ``(a, b)`` over a few shifts;
+    the witness's spectrum lies on ``b + H^perp``.
+    """
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        for a, b in itertools.product((0, 1, n - 1), repeat=2):
+            yield {(a + h) % n for h in range(0, n, n // d)}, {(b + h) % n for h in range(0, n, d)}
 
 
 class TestUniquenessOracle:
@@ -137,15 +158,87 @@ class TestUniquenessOracle:
             supp = set(rng.choice(p, size=p - m, replace=False).tolist())
             assert uniqueness_oracle_1d(supp, miss, p) is True
 
-    # Chebotarev: at prime n the rank test is |S| <= |observed|, which the
-    # oracle returns without building a matrix; composite n builds its own
+    # The float test decides well-conditioned pairs. Below a sigma ratio of
+    # 1e-8 every pair is exactly dependent: an exhaustive sweep at n <= 10
+    # finds every exactly full-rank pair above 0.02, while matrix_rank's
+    # cutoff calls some dependent pairs at 5e-16 full rank.
     @pytest.mark.parametrize("widths", [[2, 3, 5, 7, 11, 13, 17, 19, 23], [4, 6, 8, 9, 10, 12]],
                              ids=["prime", "composite"])
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_matches_the_explicit_rank_test(self, widths, data):
         n, supp, miss = data.draw(width_support_missing(widths))
-        assert uniqueness_oracle_1d(supp, miss, n) is explicit_rank_test(n, supp, miss)
+        got = uniqueness_oracle_1d(supp, miss, n)
+        if sigma_ratio(n, supp, miss) > 1e-8:
+            assert got is explicit_rank_test(n, supp, miss)
+        else:
+            assert got is False
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_rejects_picket_fences(self, n):
+        # |S| * |M| = n: the strict Donoho-Stark bound the oracle uses is tight
+        for supp, miss in picket_fences(n):
+            assert len(supp) * len(miss) == n
+            g = np.zeros(n, dtype=complex)
+            b = min(miss)
+            g[sorted(supp)] = np.exp(2j * np.pi * b * np.array(sorted(supp)) / n)
+            assert np.abs(row_spectrum(g)[[m for m in range(n) if m not in miss]]).max(initial=0) < 1e-9
+            assert uniqueness_oracle_1d(supp, miss, n) is False
+
+    # exactly rank-deficient pairs whose sigma ratio sits at rounding level
+    @pytest.mark.parametrize("n, supp, miss", [
+        (6, {0, 3}, {0, 2, 3, 4}),
+        (8, {0, 3, 7}, {0, 2, 3, 4, 6}),
+        (9, {0, 2, 5}, {0, 1, 3, 4, 6, 7}),
+        (10, {0, 5}, {0, 1, 2, 3, 4, 6, 8}),
+        (12, {5, 9}, {0, 2, 3, 4, 5, 6, 8, 9, 10, 11}),
+    ])
+    def test_rejects_pairs_below_the_float_cutoff(self, n, supp, miss):
+        assert sigma_ratio(n, supp, miss) < 1e-12
+        assert uniqueness_oracle_1d(supp, miss, n) is False
+
+    # the exact rank, without the Donoho-Stark shortcut, on pairs it settles
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_donoho_stark_pairs_have_full_exact_rank(self, data):
+        n = data.draw(st.sampled_from([4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 24, 25, 27, 32]))
+        positions = st.integers(0, n - 1)
+        miss = data.draw(st.sets(positions, min_size=1, max_size=n - 1))
+        supp = data.draw(st.sets(positions, min_size=1, max_size=(n - 1) // len(miss)))
+        observed = [m for m in range(n) if m not in miss]
+        assert recovery._dft_rank(observed, sorted(supp), n) == len(supp)
+
+    @pytest.mark.parametrize("n", [9, 10, 12])
+    def test_exact_rank_does_not_depend_on_the_primes(self, n, monkeypatch):
+        # primes just above n divide some nonzero minors, so there the rank
+        # must come from the stopping bound, not from the first ideal tried
+        rng = np.random.default_rng(n)
+        pairs = [(sorted(rng.choice(n, size=s, replace=False).tolist()),
+                  sorted(rng.choice(n, size=s, replace=False).tolist()))
+                 for s in rng.integers(3, 5, size=400).tolist()]
+        ranks = [recovery._dft_rank(rows, cols, n) for rows, cols in pairs]
+        p, w = recovery._next_degree_one_prime(n, 0)
+        first = [recovery._rank_mod([[pow(w, -j * k % n, p) for j in rows] for k in cols], p)
+                 for rows, cols in pairs]
+        assert any(f < r for f, r in zip(first, ranks))
+        monkeypatch.setattr(recovery, "_PRIMES_PAST", 0)
+        assert [recovery._dft_rank(rows, cols, n) for rows, cols in pairs] == ranks
+
+    def test_degree_one_primes(self):
+        assert [q for q in range(60) if recovery._is_prime(q)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+        # a Carmichael number and a strong pseudoprime to every base up to 23
+        assert not recovery._is_prime(561)
+        assert not recovery._is_prime(3825123056546413051)
+        assert recovery._is_prime(2**61 - 1)
+        for n in (4, 6, 9, 10, 12, 16):
+            p = 0
+            for _ in range(3):
+                after, (p, w) = p, recovery._next_degree_one_prime(n, p)
+                assert p > after and p % n == 1 and recovery._is_prime(p)
+                assert not any(recovery._is_prime(q) for q in range(after + 1, p) if q % n == 1)
+                assert pow(w, n, p) == 1
+                assert all(pow(w, n // q, p) != 1 for q in (2, 3, 5) if n % q == 0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
