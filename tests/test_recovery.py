@@ -179,9 +179,9 @@ class TestUniquenessOracle:
         # |S| * |M| = n: the strict Donoho-Stark bound the oracle uses is tight
         for supp, miss in picket_fences(n):
             assert len(supp) * len(miss) == n
+            cols = sorted(supp)
             g = np.zeros(n, dtype=complex)
-            b = min(miss)
-            g[sorted(supp)] = np.exp(2j * np.pi * b * np.array(sorted(supp)) / n)
+            g[cols] = np.exp(2j * np.pi * min(miss) * np.array(cols) / n)
             assert np.abs(row_spectrum(g)[[m for m in range(n) if m not in miss]]).max(initial=0) < 1e-9
             assert uniqueness_oracle_1d(supp, miss, n) is False
 
