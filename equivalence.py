@@ -20,10 +20,12 @@ imports that side's ``src/``. Both sides get the same inputs:
 
 A decision is a converged flag, a row status, a guarantee flag, whether a
 report recovered anything, its stage, and every integer, boolean, string or
-empty cell of an artifact. The script prints the changed decisions, the
-largest drift of any float, and the counts of bit-identical engine outputs,
-byte-identical ``report_to_json`` strings and byte-identical artifacts. It
-exits 1 when any decision changed, and 2 when a side fails to run.
+empty cell of an artifact. The script prints each side's ``src/`` line count
+(newlines in its ``.py`` files, as ``wc -l`` counts them), the changed
+decisions, the largest drift of any float, and the counts of bit-identical
+engine outputs, byte-identical ``report_to_json`` strings and byte-identical
+artifacts. It exits 1 when any decision changed, and 2 when a side fails to
+run.
 """
 
 from __future__ import annotations
@@ -273,6 +275,10 @@ def compare_artifacts(base: Path, head: Path, tally: Tally) -> str:
     return f"cli: {identical}/{len(names)} artifacts byte-identical ({len(CLI_RUNS) + 1} runs)"
 
 
+def src_lines(checkout: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="revision to compare against")
@@ -295,7 +301,7 @@ def main() -> int:
             checkout, out = Path(tmp) / side, Path(tmp) / f"{side}_out"
             checkout.mkdir()
             out.mkdir()
-            sides[side] = (export(rev, checkout), out)
+            sides[side] = (export(rev, checkout), src_lines(checkout), out)
             env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
             procs.append(subprocess.Popen(
                 [sys.executable, str(Path(__file__).resolve()), "--collect", str(out),
@@ -304,8 +310,9 @@ def main() -> int:
         if any([p.wait() for p in procs]):  # a list, so both sides finish
             print("error: a side failed to run its inputs", file=sys.stderr)
             return 2
-        (base_rev, base), (head_rev, head) = sides["base"], sides["head"]
-        print(f"base {base_rev}\nhead {head_rev}")
+        for side, (rev, lines, _) in sides.items():
+            print(f"{side} {rev} ({lines} src/ lines)")
+        base, head = sides["base"][2], sides["head"][2]
         tally = Tally()
         print(compare_engine(base, head, args.batches, tally))
         print(compare_grids(base, head, tally))

@@ -19,6 +19,7 @@ from .transforms import TransformKind
 __all__ = [
     "ErasurePattern",
     "ErasureStats",
+    "RecoveryProblem",
     "sample_erasure",
     "erasure_stats",
     "apply_erasure",
@@ -70,6 +71,36 @@ class ErasurePattern:
         return self.dims == other.dims and np.array_equal(self.mask, other.mask)
 
 
+@dataclass
+class RecoveryProblem:
+    """Surviving transform values plus the pattern that produced them.
+
+    ``observed_values`` is dense ``(t, n)`` with NaN poison at missing
+    positions; the pattern's mask is the authority on what is observed, and
+    its dims are the problem's.
+    """
+
+    kind: TransformKind
+    observed_values: np.ndarray
+    pattern: ErasurePattern
+
+    def __post_init__(self):
+        vals = _grid_array(self.observed_values, self.dims, np.complex128, "observed values")
+        if not isinstance(self.kind, TransformKind):
+            raise ValueError(f"kind must be a TransformKind, got {self.kind!r}")
+        mask = self.pattern.mask
+        kept = vals[~mask]
+        if not np.all(np.isfinite(kept)):
+            raise ValueError("observed values must be finite at non-missing positions")
+        vals[mask] = complex(np.nan, np.nan)
+        vals.flags.writeable = False
+        self.observed_values = vals
+
+    @property
+    def dims(self) -> GridDims:
+        return self.pattern.dims
+
+
 @dataclass(frozen=True)
 class ErasureStats:
     """Extremes of the per-row missing counts."""
@@ -93,14 +124,12 @@ def erasure_stats(pattern: ErasurePattern) -> ErasureStats:
 
 
 def apply_erasure(transform: Signal2D, pattern: ErasurePattern,
-                  kind: TransformKind = TransformKind.GaborRow):
+                  kind: TransformKind = TransformKind.GaborRow) -> RecoveryProblem:
     """Erase the pattern's positions from a transform, yielding a recovery problem.
 
     The surviving values are kept dense with NaN poison at missing positions;
     consumers must gate reads on the pattern's mask.
     """
-    from .recovery import RecoveryProblem
-
     if transform.dims != pattern.dims:
         raise ValueError(
             f"transform dims {transform.dims} do not match pattern dims {pattern.dims}"

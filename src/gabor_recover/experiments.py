@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .probbounds import (
     prob_mmin_below,
 )
 from .recovery import DEFAULT_FEAS_TOL, RowStatus, ds_condition, recover_rows, recover_two_stage
-from .signal import GridDims, Signal2D, _strict_int, column_support_max, support_profile
+from .signal import (GridDims, Signal2D, _strict_float, _strict_int, column_support_max,
+                     support_profile)
 from .transforms import gabor_col, gabor_row
 
 __all__ = [
@@ -53,8 +54,6 @@ __all__ = [
 # a trial counts as exact when the relative l2 error against ground truth
 # is below this; separate from the runtime feasibility tolerance
 EXACT_REL_TOL = 1e-6
-
-TRIAL_CSV_HEADER = "seed,m_max,m_min,rows_recovered,exact_recovery,residual"
 
 WILSON_Z_95 = 1.959963984540054
 WILSON_Z_99 = 2.5758293035489004
@@ -117,6 +116,8 @@ class ExperimentConfig:
         if (self.profile_shape is ProfileShape.SkewedRows
                 and self.mode is not ExperimentMode.TailBounds):
             _skewed_levels(self.dims.t, self.e_max_target)
+        if not isinstance(self.sweep, (list, tuple)):
+            raise ValueError(f"sweep must be a list of widths, got {self.sweep!r}")
         sweep = tuple(_strict_int(v, "sweep value") for v in self.sweep)
         if any(b <= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("sweep values must be strictly increasing")
@@ -125,8 +126,9 @@ class ExperimentConfig:
         object.__setattr__(self, "sweep", sweep)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
+    """One trial, and one row of the trial CSV in field order."""
+
     seed: int
     m_max: int
     m_min: int
@@ -135,20 +137,24 @@ class TrialRecord:
     residual: float
 
 
+TRIAL_CSV_HEADER = ",".join(TrialRecord._fields)
+
+
 def config_from_mapping(data: dict) -> ExperimentConfig:
     """Build a config from a plain mapping (the JSON config file format).
 
     A key left out takes the field's default, as does an ``output_path`` of
     ``null``. A missing required key, a value of the wrong type or a non-integral
-    number in an integer field is a ValueError.
+    number in an integer field is a ValueError. Number fields take JSON numbers
+    only, never a bool, string or null, and ``sweep`` takes a list.
     """
-    casts = {"profile_shape": ProfileShape, "sweep": tuple, "tol": float,
-             "output_path": lambda path: path}
+    casts = {"profile_shape": ProfileShape, "tol": lambda tol: _strict_float(tol, "tol"),
+             "sweep": lambda sweep: sweep, "output_path": lambda path: path}
     try:
         ints = {key: _strict_int(data[key], key) for key in ("trials", "base_seed") if key in data}
         return ExperimentConfig(
             dims=GridDims(n=_strict_int(data["n"], "n"), t=_strict_int(data["t"], "t")),
-            theta=float(data["theta"]),
+            theta=_strict_float(data["theta"], "theta"),
             e_max_target=_strict_int(data["e_max_target"], "e_max_target"),
             mode=ExperimentMode(data["mode"]),
             **ints,
@@ -264,14 +270,10 @@ def _run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
 
 
 def _worker_count(trials: int) -> int:
-    cap = os.environ.get("GABOR_RECOVER_THREADS")
-    if cap is not None:
-        limit = int(cap)
-        if limit < 1:
-            raise ValueError("GABOR_RECOVER_THREADS must be a positive integer")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, trials))
+    """Worker processes for ``trials`` trials: at most one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(trials, len(os.sched_getaffinity(0)))
+    return min(trials, os.cpu_count() or 1)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95):
@@ -355,16 +357,13 @@ def run_experiment(config: ExperimentConfig):
     summary["mmax_below_count"] = mmax_below
     summary["mmin_below_count"] = mmin_below
 
-    if config.mode is ExperimentMode.MmaxSweep:
-        frac = mmax_below / config.trials
-        summary["fraction_below"] = frac
-        summary["wilson_95"] = wilson_interval(mmax_below, config.trials)
-        summary["closed_form"] = prob_mmax_below(n, t, config.theta, c)
-    elif config.mode is ExperimentMode.MminSweep:
-        frac = mmin_below / config.trials
-        summary["fraction_below"] = frac
-        summary["wilson_95"] = wilson_interval(mmin_below, config.trials)
-        summary["closed_form"] = prob_mmin_below(n, t, config.theta, c)
+    if config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep):
+        below_count, closed_form = ((mmax_below, prob_mmax_below)
+                                    if config.mode is ExperimentMode.MmaxSweep
+                                    else (mmin_below, prob_mmin_below))
+        summary["fraction_below"] = below_count / config.trials
+        summary["wilson_95"] = wilson_interval(below_count, config.trials)
+        summary["closed_form"] = closed_form(n, t, config.theta, c)
     else:
         exact_flags = np.array([r.exact_recovery for r in records])
         exact = int(exact_flags.sum())
@@ -419,9 +418,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
-TAIL_CSV_HEADER = "n,t,theta,e_max,c,p_mmax_below,p_mmin_below,exact_tail,lemma_bound,valid"
-
-
 def emit_results(summary: dict, records, out_dir) -> list:
     """Write the summary JSON and per-trial CSV; returns the written paths.
 
@@ -437,9 +433,7 @@ def emit_results(summary: dict, records, out_dir) -> list:
         out.mkdir(parents=True, exist_ok=True)
 
         csv_path = out / f"{base}_trials.csv"
-        _write_csv(csv_path, TRIAL_CSV_HEADER,
-                   ((r.seed, r.m_max, r.m_min, r.rows_recovered, r.exact_recovery, r.residual)
-                    for r in sorted(records, key=lambda r: r.seed)))
+        _write_csv(csv_path, TRIAL_CSV_HEADER, sorted(records, key=lambda r: r.seed))
         written.append(csv_path)
 
         persisted = {k: v for k, v in summary.items() if k != "wall_clock"}
@@ -451,8 +445,8 @@ def emit_results(summary: dict, records, out_dir) -> list:
 
         if "tail_table" in summary:
             table_path = out / f"{base}_table.csv"
-            rows = ([row[k] for k in TAIL_CSV_HEADER.split(",")] for row in summary["tail_table"])
-            _write_csv(table_path, TAIL_CSV_HEADER, rows)
+            table = summary["tail_table"]
+            _write_csv(table_path, ",".join(table[0]), (row.values() for row in table))
             written.append(table_path)
     except OSError as exc:
         raise OSError(f"failed writing experiment artifacts under {out}: {exc}") from exc

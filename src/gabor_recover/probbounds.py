@@ -15,6 +15,7 @@ keep their exact-math value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -35,13 +36,15 @@ def _ceil_snapped(v: float) -> int:
     return math.ceil(v - _SNAP)
 
 
-def _validate_n_theta(n: int, theta: float):
-    if not isinstance(n, (int,)) or isinstance(n, bool):
+def _validate_n_theta(n: int, theta: float) -> int:
+    """``n`` as a plain ``int``, after checking ``n`` and ``theta``."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise ValueError("n must be an integer")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not (0.0 <= theta <= 1.0) or math.isnan(theta):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    return int(n)
 
 
 def _log_pmf(n: int, j: int, theta: float) -> float:
@@ -58,7 +61,7 @@ def binom_tail_upper(n: int, theta: float, threshold: float) -> float:
     past the mode that underflows to 0.0: the pmf only falls from there, so
     every later term is 0.0 as well and the sum is unchanged.
     """
-    _validate_n_theta(n, theta)
+    n = _validate_n_theta(n, theta)
     j = _ceil_snapped(threshold)
     if j <= 0:
         return 1.0
@@ -83,7 +86,7 @@ def binom_tail_lower(n: int, theta: float, threshold: float) -> float:
     It is ``binom_tail_upper(n, 1-theta, n-threshold)``, the upper tail of
     ``n - X``, as ``ceil(n-c-snap) = n - floor(c+snap)``; it stops early too.
     """
-    _validate_n_theta(n, theta)
+    n = _validate_n_theta(n, theta)
     return binom_tail_upper(n, 1.0 - theta, n - threshold)
 
 
@@ -108,7 +111,7 @@ def lemma_tail_bound(n: int, theta: float, k: float) -> TailBoundResult:
     least ``r = (n-j)*theta / ((j+1)*(1-theta))``, so when ``r < 1`` the tail
     is at most ``pmf(j) / (1 - r)``. Requires ``0 < theta < k < 1``.
     """
-    _validate_n_theta(n, theta)
+    n = _validate_n_theta(n, theta)
     if not (0.0 < theta < k < 1.0):
         raise ValueError(f"need 0 < theta < k < 1, got theta={theta}, k={k}")
     j = _ceil_snapped(n * k)  # in [0, n], as 0 < n*k < n

@@ -32,23 +32,21 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from .signal import GridDims, Signal2D, _grid_array, signal_payload
+from .channel import RecoveryProblem
+from .signal import Signal2D, signal_payload
 from .transforms import TransformKind, _dft, _idft
-
-if TYPE_CHECKING:
-    from .channel import ErasurePattern
 
 __all__ = [
     "L1Domain",
     "RecoveryStage",
     "RowStatus",
-    "RecoveryProblem",
     "RecoveryReport",
     "ds_condition",
     "l1_recover_1d",
@@ -85,36 +83,6 @@ class RowStatus(Enum):
 
 
 @dataclass
-class RecoveryProblem:
-    """Surviving transform values plus the pattern that produced them.
-
-    ``observed_values`` is dense ``(t, n)`` with NaN poison at missing
-    positions; the pattern's mask is the authority on what is observed, and
-    its dims are the problem's.
-    """
-
-    kind: TransformKind
-    observed_values: np.ndarray
-    pattern: "ErasurePattern"
-
-    def __post_init__(self):
-        vals = _grid_array(self.observed_values, self.dims, np.complex128, "observed values")
-        if not isinstance(self.kind, TransformKind):
-            raise ValueError(f"kind must be a TransformKind, got {self.kind!r}")
-        mask = self.pattern.mask
-        kept = vals[~mask]
-        if not np.all(np.isfinite(kept)):
-            raise ValueError("observed values must be finite at non-missing positions")
-        vals[mask] = complex(np.nan, np.nan)
-        vals.flags.writeable = False
-        self.observed_values = vals
-
-    @property
-    def dims(self) -> GridDims:
-        return self.pattern.dims
-
-
-@dataclass
 class RecoveryReport:
     """Outcome of a recovery attempt.
 
@@ -146,7 +114,7 @@ def ds_condition(support_size, missing_size, n: int, t: int = 1):
 
 
 # ----------------------------------------------------------------------------
-# solver engine (signal orientation only; see _solve_oriented for the other)
+# solver engine (signal orientation only; see l1_recover_many for the other)
 # ----------------------------------------------------------------------------
 
 def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
@@ -205,14 +173,15 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
         S, bi, oi, si = S[i], b[i], obs[i], spec[i]
         # no dense fallback: a Gram failing Cholesky has sigma_min(A) <~ 1e-8, so a dual needs
         # ||lam|| = ||E^H lam|| >= |<v_min, signs>|/sigma_min, past the checks' sqrt(n)(1 + 1e-7)
-        coeffs, fitted = _normal_solve(S, _idft(bi), si)
+        rhs = _idft(bi)
+        coeffs, fitted = _normal_solve(S, rhs, si)
         # drop numerically dead entries once, so the sign vector is meaningful
         mags = np.abs(coeffs)
         alive = mags > 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1e-300)
         refit = fitted & (alive.sum(axis=1) < grown[i])
         if refit.any():
             S[refit] = alive[refit]
-            coeffs[refit], fitted[refit] = _normal_solve(S[refit], _idft(bi[refit]), si[refit])
+            coeffs[refit], fitted[refit] = _normal_solve(S[refit], rhs[refit], si[refit])
         res = _observed_residual(coeffs, bi, oi)
         # an exact-0 coefficient on the support has no sign, so no dual certificate
         j = np.nonzero(fitted & (res <= feas[i]) & ~(S & (coeffs == 0)).any(axis=1))[0]
@@ -253,49 +222,41 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     """Solve a batch of independent 1D basis-pursuit instances.
 
     ``values`` is ``(B, n)`` complex holding observed transform values
-    (missing entries are ignored); ``missing_mask`` is ``(B, n)`` bool.
-    Returns ``(signals, converged, residuals, iterations)``: per row, the
-    signal of least L1 norm matching the observations, and the max-modulus
-    constraint mismatch.
+    (missing entries are ignored); ``missing_mask`` is ``(B, n)`` bool, with
+    ``n >= 1``. ``tol`` must be positive and finite, and ``max_iter`` a
+    non-negative integer. Returns ``(signals, converged, residuals,
+    iterations)``: per row, the signal of least L1 norm matching the
+    observations, and the max-modulus constraint mismatch.
     """
     missing = np.asarray(missing_mask, dtype=bool)
     vals = np.asarray(values, dtype=np.complex128)
     if vals.shape != missing.shape or vals.ndim != 2:
         raise ValueError("values and missing mask must share a (B, n) shape")
     B, n = vals.shape
+    if n < 1:
+        raise ValueError("rows must have a positive width n")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     obs = ~missing
     b = np.where(obs, vals, 0.0 + 0.0j)
     if not np.all(np.isfinite(b)):
         raise ValueError("observed values must be finite")
 
+    # fully observed rows invert directly, and all-zero data has the zero vector as
+    # its unique minimizer
+    z0 = _idft(b)
+    scale = np.abs(z0).max(axis=1)
+    full = obs.all(axis=1)
+    conv = full | (scale == 0.0)
     sols = np.zeros((B, n), dtype=np.complex128)
-    conv = np.zeros(B, dtype=bool)
+    sols[full] = z0[full]
     resid = np.zeros(B, dtype=float)
     iters = np.zeros(B, dtype=int)
 
-    # rows with every position observed invert directly
-    full = obs.all(axis=1)
-    if full.any():
-        sols[full] = _idft(b[full])
-        conv[full] = True
-
-    pending = ~full
-    # rows whose observations are all zero: the zero vector is the unique minimizer
-    z0 = _idft(b[pending])
-    scale = np.abs(z0).max(axis=1)
-    pend_idx = np.nonzero(pending)[0]
-    zero_rows = pend_idx[scale == 0.0]
-    conv[zero_rows] = True
-
-    act = scale > 0.0
-    orig = pend_idx[act]
-    if orig.size == 0:
-        return sols, conv, resid, iters
-
-    z = z0[act]
-    bb = b[orig]
-    oo = obs[orig]
-    sc = scale[act]
+    orig = np.nonzero(~conv)[0]
+    z, bb, oo, sc = z0[orig], b[orig], obs[orig], scale[orig]
     feas = tol * np.maximum(1.0, np.abs(bb).max(axis=1))
 
     it = 0
@@ -340,25 +301,6 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     return sols, conv, resid, iters
 
 
-def _solve_oriented(values, missing_mask, domain: L1Domain, tol: float, max_iter: int):
-    """Solve either orientation with the signal-side engine, returning signals.
-
-    ``MinimizeFreqL1`` is the conjugate of ``MinimizeSignalL1``. The unitary
-    DFT is symmetric, so ``F^H u = conj(F conj(u))``, and conjugation keeps
-    the L1 norm and the soft threshold. Matching samples ``s`` with the
-    spectrum ``u`` of least L1 norm is therefore the signal-side problem for
-    ``v = conj(u)`` against the data ``conj(s)``, and the signal is
-    ``F^H u = conj(F v)``.
-    """
-    if domain is L1Domain.MinimizeSignalL1:
-        return _solve_l1_batch(values, missing_mask, tol=tol, max_iter=max_iter)
-    if domain is L1Domain.MinimizeFreqL1:
-        sols, conv, resid, iters = _solve_l1_batch(np.conj(values), missing_mask, tol=tol,
-                                                   max_iter=max_iter)
-        return np.conj(_dft(sols)), conv, resid, iters
-    raise ValueError(f"unknown domain {domain!r}")
-
-
 # ----------------------------------------------------------------------------
 # public 1D operations
 # ----------------------------------------------------------------------------
@@ -389,7 +331,7 @@ def l1_recover_1d(observed, missing, n: int, domain: L1Domain = L1Domain.Minimiz
         vals[0, int(k)] = v
     mask = np.zeros((1, n), dtype=bool)
     mask[0, sorted(missing)] = True
-    sols, conv, _, _ = _solve_oriented(vals, mask, domain, tol, max_iter)
+    sols, conv, _ = l1_recover_many(vals, mask, domain, tol, max_iter)
     if not conv[0]:
         return None
     return sols[0]
@@ -403,8 +345,20 @@ def l1_recover_many(values: np.ndarray, missing_mask: np.ndarray,
     Each row of ``values``/``missing_mask`` is one instance; per-row results
     match the scalar op exactly (the scalar op is this engine with B=1).
     Returns ``(signals, converged, residuals)``.
+
+    This is the one caller of the signal-side engine. ``MinimizeFreqL1`` is
+    the conjugate of ``MinimizeSignalL1``: the unitary DFT is symmetric, so
+    ``F^H u = conj(F conj(u))``, and conjugation keeps the L1 norm and the
+    soft threshold. Matching samples ``s`` with the spectrum ``u`` of least
+    L1 norm is therefore the signal-side problem for ``v = conj(u)`` against
+    the data ``conj(s)``, and the signal is ``F^H u = conj(F v)``.
     """
-    return _solve_oriented(values, missing_mask, domain, tol, max_iter)[:3]
+    if not isinstance(domain, L1Domain):
+        raise ValueError(f"unknown domain {domain!r}")
+    freq = domain is L1Domain.MinimizeFreqL1
+    sols, conv, resid, _ = _solve_l1_batch(np.conj(values) if freq else values, missing_mask,
+                                           tol=tol, max_iter=max_iter)
+    return (np.conj(_dft(sols)) if freq else sols), conv, resid
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # decide every q < 3.1e23
@@ -535,9 +489,9 @@ def _row_stage(problem: RecoveryProblem, tol: float, max_iter: int):
     """
     if problem.kind is not TransformKind.GaborRow:
         raise ValueError(f"row recovery expects GaborRow data, got {problem.kind.value}")
-    m_counts = problem.pattern.mask.sum(axis=1)
-    out, converged, resid, _ = _solve_l1_batch(problem.observed_values, problem.pattern.mask,
-                                               tol=tol, max_iter=max_iter)
+    m_counts = problem.pattern.per_row_counts
+    out, converged, resid = l1_recover_many(problem.observed_values, problem.pattern.mask,
+                                            tol=tol, max_iter=max_iter)
     return out, converged & (m_counts < problem.dims.n), resid, m_counts
 
 
@@ -614,8 +568,8 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     if attempt and row_ok.any():
         # every column shares the same missing rows: solve them all at once, and
         # repair the failed rows only if every column produced its entries
-        cols, conv, _, _ = _solve_oriented(out.T, np.broadcast_to(~row_ok, (n, t)),
-                                           L1Domain.MinimizeFreqL1, tol, max_iter)
+        cols, conv, _ = l1_recover_many(out.T, np.broadcast_to(~row_ok, (n, t)),
+                                        L1Domain.MinimizeFreqL1, tol, max_iter)
         if conv.all():
             repaired_rows = ~row_ok
             out[repaired_rows] = cols.T[repaired_rows]

@@ -8,6 +8,7 @@ A signal assigns a complex value to each grid position ``(x, y)`` with
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,13 @@ def _strict_int(value, name: str) -> int:
     return int(value)
 
 
+def _strict_float(value, name: str) -> float:
+    """A real number read from outside: an int or a float, never a bool, string or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class Signal2D:
     """A dense complex signal on the grid.
@@ -116,14 +124,15 @@ class SupportProfile:
         return sum(self.row_supports)
 
 
-def _threshold(signal: Signal2D, tol) -> float:
-    """Resolve the support threshold: explicit, or relative to max modulus."""
+def _active(signal: Signal2D, tol) -> np.ndarray:
+    """Where the modulus exceeds ``tol``, or 1e-9 of the max modulus when ``tol`` is None."""
+    mag = np.abs(signal.values)
     if tol is None:
-        return DEFAULT_REL_TOL * signal.max_modulus()
+        return mag > DEFAULT_REL_TOL * mag.max()
     tol = float(tol)
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    return tol
+    return mag > tol
 
 
 def support(signal: Signal2D, tol=None) -> set:
@@ -132,15 +141,13 @@ def support(signal: Signal2D, tol=None) -> set:
     ``tol`` is an absolute modulus threshold; when omitted it defaults to
     1e-9 relative to the signal's max modulus.
     """
-    thr = _threshold(signal, tol)
-    ys, xs = np.nonzero(np.abs(signal.values) > thr)
+    ys, xs = np.nonzero(_active(signal, tol))
     return {(int(x), int(y)) for x, y in zip(xs, ys)}
 
 
 def support_profile(signal: Signal2D, tol=None) -> SupportProfile:
     """Per-row support counts of the signal."""
-    thr = _threshold(signal, tol)
-    return SupportProfile(row_supports=(np.abs(signal.values) > thr).sum(axis=1))
+    return SupportProfile(row_supports=_active(signal, tol).sum(axis=1))
 
 
 def column_support_max(signal: Signal2D, tol=None) -> int:
@@ -149,9 +156,7 @@ def column_support_max(signal: Signal2D, tol=None) -> int:
     Typically applied to a column-wise transform to measure its largest
     per-column spectral support.
     """
-    thr = _threshold(signal, tol)
-    counts = (np.abs(signal.values) > thr).sum(axis=0)
-    return int(counts.max())
+    return int(_active(signal, tol).sum(axis=0).max())
 
 
 def signal_payload(signal: Signal2D) -> dict:

@@ -107,9 +107,11 @@ class TestExperimentCommands:
 
     @pytest.mark.parametrize("bad", [{"tol": None}, {"n": [16]}, {"sweep": 16},
                                      {"output_path": 5}, {"n": 16.9}, {"trials": True},
-                                     {"sweep": [8, 16.5]}],
+                                     {"sweep": [8, 16.5]}, {"theta": True}, {"theta": "0.1"},
+                                     {"tol": True}, {"sweep": "16"}],
                              ids=["null-tol", "list-n", "number-sweep", "number-output-path",
-                                  "fractional-n", "bool-trials", "fractional-sweep"])
+                                  "fractional-n", "bool-trials", "fractional-sweep",
+                                  "bool-theta", "string-theta", "bool-tol", "string-sweep"])
     def test_malformed_config_value_exits_one(self, tmp_path, monkeypatch, capsys, bad):
         monkeypatch.chdir(tmp_path)  # the default output directory
         cfg = tmp_path / "cfg.json"
@@ -118,6 +120,8 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+        (field,) = bad
+        assert err.startswith(f"error: {field} "), err  # the message names the field
         assert not list(tmp_path.glob("*summary.json"))
 
     def test_negative_seed_names_the_field(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from gabor_recover import experiments
 from gabor_recover.experiments import (
     TRIAL_CSV_HEADER,
     ExperimentConfig,
@@ -236,9 +237,9 @@ class TestRunExperiment:
 
     def test_worker_pool_matches_inline(self, monkeypatch, tmp_path):
         cfg = make_config(trials=8, theta=0.2)
-        monkeypatch.setenv("GABOR_RECOVER_THREADS", "1")
+        monkeypatch.setattr(experiments, "_worker_count", lambda trials: 1)
         summary_a, records_a = run_experiment(cfg)
-        monkeypatch.setenv("GABOR_RECOVER_THREADS", "2")
+        monkeypatch.setattr(experiments, "_worker_count", lambda trials: 2)
         summary_b, records_b = run_experiment(cfg)
         assert records_a == records_b
         paths_a = emit_results(summary_a, records_a, tmp_path / "a")
@@ -252,11 +253,6 @@ class TestRunExperiment:
             run_experiment(make_config(dims=GridDims(n=16, t=6), e_max_target=3, trials=1,
                                        mode=ExperimentMode.MmaxSweep,
                                        profile_shape=ProfileShape.SkewedRows))
-
-    def test_worker_env_validated(self, monkeypatch):
-        monkeypatch.setenv("GABOR_RECOVER_THREADS", "0")
-        with pytest.raises(ValueError):
-            run_experiment(make_config(trials=2))
 
 
 class TestRunSweep:

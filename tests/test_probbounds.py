@@ -72,6 +72,18 @@ class TestBinomTailUpper:
             binom_tail_upper(0, 0.5, 1)
         with pytest.raises(ValueError):
             binom_tail_upper(4, 1.5, 1)
+        for n in (True, np.bool_(True), 10.0):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                binom_tail_upper(n, 0.5, 1)
+
+    @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint8(10)],
+                             ids=lambda n: type(n).__name__)
+    def test_numpy_integer_n_reads_as_its_int(self, n):
+        assert binom_tail_upper(n, 0.3, 3) == binom_tail_upper(10, 0.3, 3)
+        assert binom_tail_lower(n, 0.3, 3) == binom_tail_lower(10, 0.3, 3)
+        assert prob_mmax_below(n, 4, 0.3, 3) == prob_mmax_below(10, 4, 0.3, 3)
+        assert prob_mmin_below(n, 4, 0.3, 3) == prob_mmin_below(10, 4, 0.3, 3)
+        assert lemma_tail_bound(n, 0.1, 0.5) == lemma_tail_bound(10, 0.1, 0.5)
 
 
 class TestBinomTailLower:

@@ -358,8 +358,23 @@ class TestL1RecoverMany:
                 assert not batch_conv[i]
             else:
                 assert batch_conv[i]
-                assert np.allclose(batch_sols[i], single, atol=1e-9)
+                assert batch_sols[i].tobytes() == single.tobytes()
 
+    # a nan tol fails every comparison, so no row could polish; a float budget
+    # cannot count iterations, and a negative one would run none
+    @pytest.mark.parametrize("bad", [{"tol": math.nan}, {"tol": 0.0}, {"tol": math.inf},
+                                     {"max_iter": 10.0}, {"max_iter": -1}, {"max_iter": True}],
+                             ids=["nan-tol", "zero-tol", "inf-tol", "float-budget",
+                                  "negative-budget", "bool-budget"])
+    def test_rejects_bad_tolerance_and_budget(self, bad):
+        masks = np.array([[True, False, False, False]])
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} "):
+            l1_recover_many(np.ones((1, 4), dtype=complex), masks, **bad)
+
+    def test_rejects_zero_width_rows(self):
+        with pytest.raises(ValueError, match="width n"):
+            l1_recover_many(np.ones((1, 0), dtype=complex), np.zeros((1, 0), dtype=bool))
 
     def test_polish_memory_flat_across_erasure_patterns(self):
         # every row has its own erasure pattern, so nothing built per pattern
@@ -413,6 +428,26 @@ def planted_batch(seed, n, domain):
 
 def l1_side(sols, domain):
     return sols if domain is L1Domain.MinimizeSignalL1 else row_spectrum_many(sols)
+
+
+class TestBatchSplitting:
+    @BOTH_DOMAINS
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 24), seed=st.integers(0, 2**32 - 1),
+           max_iter=st.sampled_from([1, 2, 8, recovery.DEFAULT_MAX_ITER]),
+           cuts=st.lists(st.integers(0, 6), max_size=4))
+    def test_pieces_concatenate_to_the_whole_batch(self, domain, n, seed, max_iter, cuts):
+        # each row is solved exactly as it would be alone, so a batch cut anywhere,
+        # into pieces that may be empty, gives the whole batch's bytes
+        _, masks, data = planted_batch(seed, n, domain)
+        masks[0], masks[1] = True, False  # one fully erased row, one erasure-free row
+        values = np.where(masks, 0, data)
+        whole = l1_recover_many(values, masks, domain, max_iter=max_iter)
+        edges = [0, *sorted(cuts), len(values)]
+        pieces = [l1_recover_many(values[a:b], masks[a:b], domain, max_iter=max_iter)
+                  for a, b in zip(edges, edges[1:])]
+        for k, array in enumerate(whole):
+            assert np.concatenate([piece[k] for piece in pieces]).tobytes() == array.tobytes()
 
 
 class TestShiftCovariance:
