@@ -105,7 +105,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if not isinstance(mapping, dict):
             raise ValueError(f"config {path} must hold a JSON object")
     if "sweep" in flags:
-        flags["sweep"] = [int(v) for v in flags["sweep"].split(",") if v.strip()]
+        try:
+            flags["sweep"] = [int(v) for v in flags["sweep"].split(",") if v.strip()]
+        except ValueError as exc:
+            raise ValueError(f"--sweep takes comma-separated integers: {exc}") from exc
     config = config_from_mapping({**mapping, **flags, "mode": mode.value})
     out_dir = config.output_path or "."
     for summary, records in run_sweep(config):

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -32,7 +31,7 @@ from .probbounds import (
     prob_mmax_below,
     prob_mmin_below,
 )
-from .recovery import DEFAULT_FEAS_TOL, RowStatus, ds_condition, recover_rows, recover_two_stage
+from .recovery import DEFAULT_FEAS_TOL, RowStatus, _recover_many, ds_condition
 from .signal import (GridDims, Signal2D, _strict_float, _strict_int, column_support_max,
                      support_profile)
 from .transforms import gabor_col, gabor_row
@@ -54,6 +53,8 @@ __all__ = [
 # a trial counts as exact when the relative l2 error against ground truth
 # is below this; separate from the runtime feasibility tolerance
 EXACT_REL_TOL = 1e-6
+
+_CHUNK_ENTRIES = 4096  # grid entries of the trials solved together, which bounds their memory
 
 WILSON_Z_95 = 1.959963984540054
 WILSON_Z_99 = 2.5758293035489004
@@ -238,42 +239,39 @@ def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
 # trials
 # ----------------------------------------------------------------------------
 
-def _run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
-    trial_seed = config.base_seed + index
-    pattern = sample_erasure(config.dims, config.theta, 2 * trial_seed + 1)
-    stats = erasure_stats(pattern)
-    if config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep):
-        return TrialRecord(seed=trial_seed, m_max=stats.m_max, m_min=stats.m_min,
-                           rows_recovered=0, exact_recovery=False, residual=0.0)
-
+def _run_trials(config: ExperimentConfig, seeds: range) -> list:
+    """The records of the trials of these seeds, in seed order, their grids solved together."""
     # the signal and the pattern draw from separate seeds, so their order is free
-    signal = generate_test_signal(config.dims, config.e_max_target,
-                                  2 * trial_seed, config.profile_shape)
-    problem = apply_erasure(gabor_row(signal), pattern)
+    patterns = [sample_erasure(config.dims, config.theta, 2 * seed + 1) for seed in seeds]
+    records = [TrialRecord(seed, stats.m_max, stats.m_min, 0, False, 0.0)
+               for seed, stats in zip(seeds, map(erasure_stats, patterns))]
+    if config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep):
+        return records
+
+    signals = [generate_test_signal(config.dims, config.e_max_target, 2 * seed,
+                                    config.profile_shape) for seed in seeds]
+    problems = [apply_erasure(gabor_row(signal), pattern)
+                for signal, pattern in zip(signals, patterns)]
     if config.mode is ExperimentMode.RowRecovery:
-        report = recover_rows(problem, profile=support_profile(signal), tol=config.tol)
+        reports = _recover_many(problems, [support_profile(s) for s in signals], None, config.tol)
     else:
-        report = recover_two_stage(
-            problem, col_transform_support_max=column_support_max(gabor_col(signal)),
-            tol=config.tol,
-        )
-
-    rows_recovered = sum(1 for s in report.row_status if s is RowStatus.Recovered)
-    exact = False
-    if rows_recovered == config.dims.t and report.recovered is not None:
-        diff = report.recovered.values - signal.values
-        denom = float(np.linalg.norm(signal.values))
-        exact = bool(np.linalg.norm(diff) < EXACT_REL_TOL * denom) if denom > 0 else True
-    return TrialRecord(seed=trial_seed, m_max=stats.m_max, m_min=stats.m_min,
-                       rows_recovered=rows_recovered, exact_recovery=exact,
-                       residual=float(report.residual))
+        reports = _recover_many(problems, None, [column_support_max(gabor_col(s))
+                                                 for s in signals], config.tol)
+    for i, (signal, report) in enumerate(zip(signals, reports)):
+        rows = report.row_status.count(RowStatus.Recovered)  # if t, report.recovered is set
+        denom = np.linalg.norm(signal.values)
+        exact = rows == config.dims.t and bool(
+            np.linalg.norm(report.recovered.values - signal.values) < EXACT_REL_TOL * denom
+            or denom == 0)
+        records[i] = records[i]._replace(rows_recovered=rows, exact_recovery=exact,
+                                         residual=float(report.residual))
+    return records
 
 
+# unused in the package, but perfbench reads it on every run (ROADMAP item 3)
 def _worker_count(trials: int) -> int:
     """Worker processes for ``trials`` trials: at most one per CPU this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(trials, len(os.sched_getaffinity(0)))
-    return min(trials, os.cpu_count() or 1)
+    return min(trials, len(os.sched_getaffinity(0)))
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95):
@@ -341,13 +339,9 @@ def run_experiment(config: ExperimentConfig):
         summary["wall_clock"] = {"elapsed_s": time.perf_counter() - start}
         return summary, []
 
-    workers = _worker_count(config.trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, [config] * config.trials,
-                                    range(config.trials), chunksize=64))
-    else:
-        records = [_run_trial(config, i) for i in range(config.trials)]
+    step = max(1, _CHUNK_ENTRIES // config.dims.size)
+    records = [record for lo in range(0, config.trials, step) for record in _run_trials(
+        config, range(config.base_seed + lo, config.base_seed + min(lo + step, config.trials)))]
 
     # the row certificate 2 * e_max * m < n, for each trial's worst and best row
     below = ds_condition(config.e_max_target, np.array([(r.m_max, r.m_min) for r in records]), n)

@@ -480,21 +480,6 @@ def uniqueness_oracle_1d(support, missing, n: int) -> bool:
 # grid pipelines
 # ----------------------------------------------------------------------------
 
-def _row_stage(problem: RecoveryProblem, tol: float, max_iter: int):
-    """Solve every row of a row-transform grid on its own.
-
-    Returns ``(solutions, ok, residuals, missing_counts)``: ``ok`` marks rows
-    that converged with something observed. The engine ignores the NaN at
-    missing positions and inverts erasure-free rows directly.
-    """
-    if problem.kind is not TransformKind.GaborRow:
-        raise ValueError(f"row recovery expects GaborRow data, got {problem.kind.value}")
-    m_counts = problem.pattern.per_row_counts
-    out, converged, resid = l1_recover_many(problem.observed_values, problem.pattern.mask,
-                                            tol=tol, max_iter=max_iter)
-    return out, converged & (m_counts < problem.dims.n), resid, m_counts
-
-
 def _report(problem: RecoveryProblem, stage: RecoveryStage, out: np.ndarray, ok: np.ndarray,
             residual: np.ndarray, guarantee: tuple) -> RecoveryReport:
     """Report rows ``ok`` as Recovered and zero the others in ``out`` (in place).
@@ -507,9 +492,66 @@ def _report(problem: RecoveryProblem, stage: RecoveryStage, out: np.ndarray, ok:
         stage=stage,
         row_status=tuple(RowStatus.Recovered if r else RowStatus.Failed for r in ok),
         residual=float(residual[ok].max(initial=0.0)),
-        guarantee_held=guarantee,
+        guarantee_held=tuple(bool(g) for g in guarantee),
         recovered=Signal2D(dims=problem.dims, values=out) if ok.any() else None,
     )
+
+
+def _recover_many(problems: list, profiles: Optional[list], col_maxes: Optional[list],
+                  tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER) -> list:
+    """Reports of :func:`recover_rows`, or given ``col_maxes`` :func:`recover_two_stage`, per grid.
+
+    The grids share one shape, and ``profiles`` and ``col_maxes`` hold each
+    grid's argument. All rows share one engine call, and the columns of grids
+    that attempt the repair one more; the engine solves each as it would alone.
+    """
+    for problem in problems:
+        if problem.kind is not TransformKind.GaborRow:
+            raise ValueError(f"row recovery expects GaborRow data, got {problem.kind.value}")
+    if any(c is not None and c < 1 for c in col_maxes or ()):
+        raise ValueError("col_transform_support_max must be a positive integer")
+    mask = np.array([problem.pattern.mask for problem in problems])
+    b = np.where(mask, 0.0 + 0.0j, [problem.observed_values for problem in problems])
+    if profiles is not None:
+        supports = np.array([profile.row_supports for profile in profiles], dtype=int)
+        if supports.shape != mask.shape[:2]:
+            raise ValueError("profile row count does not match grid")
+    grids, t, n = mask.shape
+    out, converged, resid = l1_recover_many(b.reshape(-1, n), mask.reshape(-1, n),
+                                            tol=tol, max_iter=max_iter)
+    out, resid, m_counts = out.reshape(mask.shape), resid.reshape(grids, t), mask.sum(axis=2)
+    row_ok = converged.reshape(grids, t) & (m_counts < n)
+    # erasure-free rows are certified unconditionally, others by the profile
+    cert = m_counts == 0
+    if profiles is not None:
+        cert |= ds_condition(supports, m_counts, n)
+        row_ok &= cert
+    row_guarantee = ~(row_ok & ~cert).any(axis=1)
+    if col_maxes is None:
+        return [_report(p, RecoveryStage.RowOnly, o, k, r, (g,))
+                for p, o, k, r, g in zip(problems, out, row_ok, resid, row_guarantee)]
+
+    certified = np.array([c is not None and ds_condition(int(f), c, t)
+                          for c, f in zip(col_maxes, (~row_ok).sum(axis=1))], dtype=bool)
+    attempt = certified | [c is None for c in col_maxes]
+    # each grid's columns share its missing rows: solve the columns of every attempting
+    # grid at once, and repair a grid's failed rows only if all of its columns converged
+    i = np.flatnonzero(attempt & row_ok.any(axis=1) & ~row_ok.all(axis=1))
+    cols, conv, _ = l1_recover_many(out[i].transpose(0, 2, 1).reshape(-1, t),
+                                    np.repeat(~row_ok[i], n, axis=0),
+                                    L1Domain.MinimizeFreqL1, tol, max_iter)
+    repaired = np.zeros_like(row_ok)
+    repaired[i] = ~row_ok[i] & conv.reshape(-1, n).all(axis=1)[:, None]
+    out[i] = np.where(repaired[i, :, None], cols.reshape(-1, n, t).transpose(0, 2, 1), out[i])
+
+    # repaired rows must match their own observations; every row's residual is against them
+    row_err = _observed_residual(out, b, ~mask)
+    demoted = repaired & (row_err > tol * np.maximum(1.0, np.abs(b).max(axis=2)))
+    col_guarantee = certified & ~demoted.any(axis=1)
+    return [_report(p, RecoveryStage.RowOnly, o, k, r, (g,)) if k.all() else
+            _report(p, RecoveryStage.RowThenColumn, o, k | (fix & ~dem), e, (g, c))
+            for p, o, k, r, g, fix, dem, e, c in zip(problems, out, row_ok, resid, row_guarantee,
+                                                      repaired, demoted, row_err, col_guarantee)]
 
 
 def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FEAS_TOL,
@@ -522,19 +564,10 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
     ``support * missing < n/2`` holds; without one, any converged feasible
     row counts as Recovered (and the row-stage guarantee flag reflects that
     only erasure-free rows were certified). Rows with nothing observed are
-    Failed.
+    Failed. This is :func:`_recover_many` on one grid.
     """
-    if profile is not None:
-        supports = np.asarray(profile.row_supports, dtype=int)
-        if supports.shape != (problem.dims.t,):
-            raise ValueError("profile row count does not match grid")
-    out, ok, resid, m_counts = _row_stage(problem, tol, max_iter)
-    # erasure-free rows are certified unconditionally, others by the profile
-    cert = m_counts == 0
-    if profile is not None:
-        cert |= ds_condition(supports, m_counts, problem.dims.n)
-        ok &= cert
-    return _report(problem, RecoveryStage.RowOnly, out, ok, resid, (bool(cert[ok].all()),))
+    return _recover_many([problem], None if profile is None else [profile], None, tol,
+                         max_iter)[0]
 
 
 def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optional[int] = None,
@@ -549,39 +582,9 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     only when ``(#failed rows) * col_transform_support_max < t/2`` certifies them;
     without it, every column is attempted optimistically. Repaired rows must
     stay consistent with their own surviving observations within ``tol`` or
-    they are demoted back to Failed.
+    they are demoted back to Failed. This is :func:`_recover_many` on one grid.
     """
-    if col_transform_support_max is not None and col_transform_support_max < 1:
-        raise ValueError("col_transform_support_max must be a positive integer")
-    out, row_ok, resid, m_counts = _row_stage(problem, tol, max_iter)
-    # without side information stage 1 certifies only erasure-free rows
-    row_guarantee = bool((m_counts[row_ok] == 0).all())
-    if row_ok.all():
-        return _report(problem, RecoveryStage.RowOnly, out, row_ok, resid, (row_guarantee,))
-
-    n, t = problem.dims.n, problem.dims.t
-    certified = (col_transform_support_max is not None
-                 and ds_condition(int((~row_ok).sum()), col_transform_support_max, t))
-    attempt = certified or col_transform_support_max is None
-
-    repaired_rows = np.zeros(t, dtype=bool)
-    if attempt and row_ok.any():
-        # every column shares the same missing rows: solve them all at once, and
-        # repair the failed rows only if every column produced its entries
-        cols, conv, _ = l1_recover_many(out.T, np.broadcast_to(~row_ok, (n, t)),
-                                        L1Domain.MinimizeFreqL1, tol, max_iter)
-        if conv.all():
-            repaired_rows = ~row_ok
-            out[repaired_rows] = cols.T[repaired_rows]
-
-    # repaired rows must match their own observations; every row's residual is against them
-    mask = problem.pattern.mask
-    b = np.where(mask, 0.0 + 0.0j, problem.observed_values)
-    row_err = _observed_residual(out, b, ~mask)
-    demoted = repaired_rows & (row_err > tol * np.maximum(1.0, np.abs(b).max(axis=1)))
-    col_guarantee = bool(certified) and not demoted.any()
-    return _report(problem, RecoveryStage.RowThenColumn, out, row_ok | (repaired_rows & ~demoted),
-                   row_err, (row_guarantee, col_guarantee))
+    return _recover_many([problem], None, [col_transform_support_max], tol, max_iter)[0]
 
 
 def report_to_json(report: RecoveryReport) -> str:

@@ -129,9 +129,9 @@ def _active(signal: Signal2D, tol) -> np.ndarray:
     mag = np.abs(signal.values)
     if tol is None:
         return mag > DEFAULT_REL_TOL * mag.max()
-    tol = float(tol)
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    tol = _strict_float(tol, "tol")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     return mag > tol
 
 

@@ -108,20 +108,26 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("bad", [{"tol": None}, {"n": [16]}, {"sweep": 16},
                                      {"output_path": 5}, {"n": 16.9}, {"trials": True},
                                      {"sweep": [8, 16.5]}, {"theta": True}, {"theta": "0.1"},
-                                     {"tol": True}, {"sweep": "16"}],
+                                     {"tol": True}, {"sweep": "16"}, {"--sweep": "8,a"}],
                              ids=["null-tol", "list-n", "number-sweep", "number-output-path",
                                   "fractional-n", "bool-trials", "fractional-sweep",
-                                  "bool-theta", "string-theta", "bool-tol", "string-sweep"])
+                                  "bool-theta", "string-theta", "bool-tol", "string-sweep",
+                                  "bad-sweep-flag"])
     def test_malformed_config_value_exits_one(self, tmp_path, monkeypatch, capsys, bad):
+        # a key starting with "--" is a command-line flag instead of a config field
         monkeypatch.chdir(tmp_path)  # the default output directory
+        ((field, value),) = bad.items()
+        flags = [field, value] if field.startswith("--") else []
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 16, "t": 2, "theta": 0.1, "e_max_target": 2, **bad}))
-        code = main(["row-recovery", "--config", str(cfg)])
+        cfg.write_text(json.dumps({"n": 16, "t": 2, "theta": 0.1, "e_max_target": 2,
+                                   **({} if flags else bad)}))
+        code = main(["row-recovery", "--config", str(cfg), *flags])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
-        (field,) = bad
         assert err.startswith(f"error: {field} "), err  # the message names the field
+        if flags:
+            assert "'a'" in err, err  # and the bad token
         assert not list(tmp_path.glob("*summary.json"))
 
     def test_negative_seed_names_the_field(self, tmp_path, capsys):

@@ -6,7 +6,9 @@ import pytest
 from scipy import stats as scipy_stats
 
 from gabor_recover import experiments
+from gabor_recover.channel import apply_erasure, sample_erasure
 from gabor_recover.experiments import (
+    EXACT_REL_TOL,
     TRIAL_CSV_HEADER,
     ExperimentConfig,
     ExperimentMode,
@@ -20,8 +22,9 @@ from gabor_recover.experiments import (
     wilson_interval,
 )
 from gabor_recover.probbounds import prob_mmax_below
+from gabor_recover.recovery import RecoveryStage, RowStatus, recover_rows, recover_two_stage
 from gabor_recover.signal import GridDims, column_support_max, support_profile
-from gabor_recover.transforms import gabor_col
+from gabor_recover.transforms import gabor_col, gabor_row
 
 
 def make_config(**overrides):
@@ -235,16 +238,56 @@ class TestRunExperiment:
         assert row["valid"] is False
         assert row["lemma_bound"] is None
 
-    def test_worker_pool_matches_inline(self, monkeypatch, tmp_path):
-        cfg = make_config(trials=8, theta=0.2)
-        monkeypatch.setattr(experiments, "_worker_count", lambda trials: 1)
-        summary_a, records_a = run_experiment(cfg)
-        monkeypatch.setattr(experiments, "_worker_count", lambda trials: 2)
-        summary_b, records_b = run_experiment(cfg)
-        assert records_a == records_b
-        paths_a = emit_results(summary_a, records_a, tmp_path / "a")
-        paths_b = emit_results(summary_b, records_b, tmp_path / "b")
-        for pa, pb in zip(paths_a, paths_b):
+    # at n=4, seed 94's pattern erases a whole row, which only the column repair restores
+    @pytest.mark.parametrize("mode, shape, n, theta, base_seed", [
+        (ExperimentMode.RowRecovery, ProfileShape.UniformRows, 32, 0.2, 5),
+        (ExperimentMode.TwoStage, ProfileShape.SkewedRows, 4, 0.25, 88),
+    ], ids=["row-recovery", "two-stage-skewed"])
+    def test_stacked_trials_match_one_problem_calls(self, monkeypatch, mode, shape, n, theta,
+                                                    base_seed):
+        cfg = make_config(dims=GridDims(n=n, t=8), theta=theta, e_max_target=3, trials=24,
+                          base_seed=base_seed, mode=mode, profile_shape=shape)
+        stacked, original = [], experiments._recover_many
+
+        def recover_many(problems, *args):
+            stacked.append(len(problems))
+            return original(problems, *args)
+
+        monkeypatch.setattr(experiments, "_recover_many", recover_many)
+        _, records = run_experiment(cfg)
+        assert sum(stacked) == 24 and max(stacked) > 1  # trials shared solves
+        expected, column_repairs = [], 0
+        for seed in range(base_seed, base_seed + 24):
+            signal = generate_test_signal(cfg.dims, 3, 2 * seed, shape)
+            pattern = sample_erasure(cfg.dims, theta, 2 * seed + 1)
+            problem = apply_erasure(gabor_row(signal), pattern)
+            if mode is ExperimentMode.RowRecovery:
+                report = recover_rows(problem, profile=support_profile(signal), tol=cfg.tol)
+            else:
+                report = recover_two_stage(problem, column_support_max(gabor_col(signal)),
+                                           tol=cfg.tol)
+            rows = sum(s is RowStatus.Recovered for s in report.row_status)
+            # a failed row came back only if the column stage ran and every row is Recovered
+            column_repairs += report.stage is RecoveryStage.RowThenColumn and rows == 8
+            exact = rows == 8 and bool(np.linalg.norm(report.recovered.values - signal.values)
+                                       < EXACT_REL_TOL * np.linalg.norm(signal.values))
+            counts = pattern.per_row_counts
+            expected.append(TrialRecord(seed, int(counts.max()), int(counts.min()), rows, exact,
+                                        float(report.residual)))
+        assert records == expected
+        assert mode is ExperimentMode.RowRecovery or column_repairs > 0
+
+    @pytest.mark.parametrize("mode", [ExperimentMode.MmaxSweep, ExperimentMode.RowRecovery,
+                                      ExperimentMode.TwoStage])
+    def test_chunk_size_leaves_artifacts_unchanged(self, monkeypatch, tmp_path, mode):
+        cfg = make_config(dims=GridDims(n=16, t=4), theta=0.25, trials=20, mode=mode,
+                          profile_shape=ProfileShape.SkewedRows)
+        written = []
+        for name, entries in (("one", 1), ("width", cfg.trials * cfg.dims.size)):
+            monkeypatch.setattr(experiments, "_CHUNK_ENTRIES", entries)
+            summary, records = run_experiment(cfg)
+            written.append(emit_results(summary, records, tmp_path / name))
+        for pa, pb in zip(*written):
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_sweep_rejects_skewed_rows_it_could_not_draw(self):

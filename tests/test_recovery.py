@@ -845,6 +845,48 @@ class TestRecoverTwoStage:
                 if rows_only.row_status[a] is RowStatus.Recovered:
                     assert two.row_status[a] is RowStatus.Recovered
 
+    def test_stacked_grids_report_as_each_alone(self, rng):
+        # grids that repair different erased rows, are not certified, attempt without a bound,
+        # fail nothing or fail every row, stacked into one pair of solves
+        n, t = 16, 8
+        dims = GridDims(n=n, t=t)
+        cases = [([3], 2), ([0], None), ([5], 2), ([1, 2, 6], 2), ([], 2), (range(t), None)]
+        problems = []
+        for rows, _ in cases:
+            sig = two_level_column_signal(rng, n, t, active_cols=rng.choice(n, 3, replace=False))
+            pat = sample_erasure(dims, 0.15, seed=int(rng.integers(1 << 30)))
+            lost = pat.mask.copy()
+            lost[list(rows)] = True
+            problems.append(apply_erasure(gabor_row(sig), ErasurePattern(dims, lost)))
+        bounds = [bound for _, bound in cases]
+        stacked = recovery._recover_many(problems, None, bounds)
+        alone = [recover_two_stage(p, bound) for p, bound in zip(problems, bounds)]
+        assert [report_to_json(r) for r in stacked] == [report_to_json(r) for r in alone]
+        assert [r.stage for r in alone].count(RecoveryStage.RowThenColumn) == 5
+        # three repairs (two certified) and the erasure-free grid
+        assert sum(all(s is RowStatus.Recovered for s in r.row_status) for r in alone) == 4
+
+    def test_stacked_grid_repairs_when_another_grids_columns_do_not_converge(self, rng):
+        # at a budget of two iterations the dense grid's columns do not converge, while the
+        # zero grid's converge at once; each grid's repair waits only on its own columns
+        dims = GridDims(n=16, t=8)
+        lost = np.zeros((8, 16), dtype=bool)
+        lost[3] = True
+        dense = Signal2D(dims, rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16)))
+        problems = [apply_erasure(gabor_row(sig), ErasurePattern(dims, lost))
+                    for sig in (dense, Signal2D(dims, np.zeros((8, 16))))]
+        stacked = recovery._recover_many(problems, None, [None, None], max_iter=2)
+        assert [r.row_status.count(RowStatus.Recovered) for r in stacked] == [7, 8]
+        alone = [recover_two_stage(p, max_iter=2) for p in problems]
+        assert [report_to_json(r) for r in stacked] == [report_to_json(r) for r in alone]
+
+    def test_stacked_grids_must_share_a_shape(self, rng):
+        problems = [apply_erasure(gabor_row(sparse_grid_signal(rng, dims, 1)),
+                                  ErasurePattern.from_missing(dims, []))
+                    for dims in (GridDims(n=4, t=2), GridDims(n=4, t=3))]
+        with pytest.raises(ValueError):
+            recovery._recover_many(problems, None, [None, None])
+
     def test_rejects_bad_support_bound(self, rng):
         dims = GridDims(n=4, t=2)
         sig = sparse_grid_signal(rng, dims, 1)

@@ -86,6 +86,14 @@ class TestSupport:
         assert support(sig, tol=1e-9) == {(2, 2)}
         assert support(sig, tol=0.0) == {(1, 1), (2, 2)}
 
+    @pytest.mark.parametrize("tol", [True, np.nan, np.inf, -np.inf, "0.1", -1e-9],
+                             ids=["bool", "nan", "inf", "minus-inf", "string", "negative"])
+    def test_rejects_tolerance_that_is_not_a_finite_non_negative_number(self, tol):
+        sig = make(4, 3, {(0, 0): 2.0, (1, 1): 0.5})
+        for query in (support, support_profile, column_support_max):
+            with pytest.raises(ValueError, match="tol"):
+                query(sig, tol)
+
     def test_default_tol_is_relative(self):
         sig = make(4, 3, {(1, 1): 1e-12, (2, 2): 1.0})
         assert support(sig) == {(2, 2)}
