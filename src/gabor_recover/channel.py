@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import GridDims, Signal2D, _grid_array, _strict_int
+from .signal import GridDims, Signal2D, _grid_array, _strict_float, _strict_int
 from .transforms import TransformKind
 
 __all__ = [
@@ -109,13 +109,21 @@ class ErasureStats:
     m_min: int
 
 
-def sample_erasure(dims: GridDims, theta: float, seed: int) -> ErasurePattern:
-    """Draw one erasure pattern; each position lost independently w.p. theta."""
+def _sample_masks(dims: GridDims, theta: float, seeds) -> np.ndarray:
+    """The masks :func:`sample_erasure` draws at these seeds, stacked ``(len(seeds), t, n)``."""
+    theta = _strict_float(theta, "theta")
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    mask = rng.random((dims.t, dims.n)) < theta
-    return ErasurePattern(dims=dims, mask=mask)
+    draw = np.empty((dims.t, dims.n))  # each seed's own PCG64 fills it as random((t, n)) does
+    masks = np.empty((len(seeds), dims.t, dims.n), dtype=bool)
+    for mask, seed in zip(masks, seeds):
+        np.less(np.random.Generator(np.random.PCG64(seed)).random(out=draw), theta, out=mask)
+    return masks
+
+
+def sample_erasure(dims: GridDims, theta: float, seed: int) -> ErasurePattern:
+    """Draw one erasure pattern; each position lost independently w.p. theta."""
+    return ErasurePattern(dims=dims, mask=_sample_masks(dims, theta, [seed])[0])
 
 
 def erasure_stats(pattern: ErasurePattern) -> ErasureStats:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import apply_erasure, erasure_stats, sample_erasure
+from .channel import ErasurePattern, _sample_masks, apply_erasure
 from .probbounds import (
     binom_tail_upper,
     lemma_tail_bound,
@@ -54,7 +54,8 @@ __all__ = [
 # is below this; separate from the runtime feasibility tolerance
 EXACT_REL_TOL = 1e-6
 
-_CHUNK_ENTRIES = 4096  # grid entries of the trials solved together, which bounds their memory
+# a chunk of trials holds 64 KiB: 4096 complex grid entries, or 16 times as many 1-byte sweep masks
+_CHUNK_ENTRIES = 4096
 
 WILSON_Z_95 = 1.959963984540054
 WILSON_Z_99 = 2.5758293035489004
@@ -242,16 +243,17 @@ def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
 def _run_trials(config: ExperimentConfig, seeds: range) -> list:
     """The records of the trials of these seeds, in seed order, their grids solved together."""
     # the signal and the pattern draw from separate seeds, so their order is free
-    patterns = [sample_erasure(config.dims, config.theta, 2 * seed + 1) for seed in seeds]
-    records = [TrialRecord(seed, stats.m_max, stats.m_min, 0, False, 0.0)
-               for seed, stats in zip(seeds, map(erasure_stats, patterns))]
+    masks = _sample_masks(config.dims, config.theta, [2 * seed + 1 for seed in seeds])
+    counts = masks.sum(axis=2)
+    records = [TrialRecord(seed, m_max, m_min, 0, False, 0.0) for seed, m_max, m_min
+               in zip(seeds, counts.max(1).tolist(), counts.min(1).tolist())]
     if config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep):
         return records
 
     signals = [generate_test_signal(config.dims, config.e_max_target, 2 * seed,
                                     config.profile_shape) for seed in seeds]
-    problems = [apply_erasure(gabor_row(signal), pattern)
-                for signal, pattern in zip(signals, patterns)]
+    problems = [apply_erasure(gabor_row(signal), ErasurePattern(config.dims, mask))
+                for signal, mask in zip(signals, masks)]
     if config.mode is ExperimentMode.RowRecovery:
         reports = _recover_many(problems, [support_profile(s) for s in signals], None, config.tol)
     else:
@@ -339,7 +341,8 @@ def run_experiment(config: ExperimentConfig):
         summary["wall_clock"] = {"elapsed_s": time.perf_counter() - start}
         return summary, []
 
-    step = max(1, _CHUNK_ENTRIES // config.dims.size)
+    sweep = config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep)
+    step = max(1, _CHUNK_ENTRIES * (16 if sweep else 1) // config.dims.size)
     records = [record for lo in range(0, config.trials, step) for record in _run_trials(
         config, range(config.base_seed + lo, config.base_seed + min(lo + step, config.trials)))]
 
@@ -351,7 +354,7 @@ def run_experiment(config: ExperimentConfig):
     summary["mmax_below_count"] = mmax_below
     summary["mmin_below_count"] = mmin_below
 
-    if config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep):
+    if sweep:
         below_count, closed_form = ((mmax_below, prob_mmax_below)
                                     if config.mode is ExperimentMode.MmaxSweep
                                     else (mmin_below, prob_mmin_below))

@@ -36,15 +36,21 @@ def _ceil_snapped(v: float) -> int:
     return math.ceil(v - _SNAP)
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as a plain ``int``: an integer, numpy's too, but not a bool, and at least 1."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return int(value)
+
+
 def _validate_n_theta(n: int, theta: float) -> int:
     """``n`` as a plain ``int``, after checking ``n`` and ``theta``."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise ValueError("n must be an integer")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _positive_int(n, "n")
     if not (0.0 <= theta <= 1.0) or math.isnan(theta):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    return int(n)
+    return n
 
 
 def _log_pmf(n: int, j: int, theta: float) -> float:
@@ -130,8 +136,7 @@ def prob_mmax_below(n: int, t: int, theta: float, c: float) -> float:
     This is the probability that every row's erasure count stays below ``c``,
     i.e. ``(1 - P(X >= c))**t`` computed as ``exp(t*log1p(-tail))``.
     """
-    if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
+    t = _positive_int(t, "t")
     tail = binom_tail_upper(n, theta, c)
     if tail >= 1.0:
         return 0.0
@@ -142,8 +147,7 @@ def prob_mmax_below(n: int, t: int, theta: float, c: float) -> float:
 
 def prob_mmin_below(n: int, t: int, theta: float, c: float) -> float:
     """P(min of t iid Binomial(n, theta) draws < c) = 1 - P(X >= c)**t."""
-    if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
+    t = _positive_int(t, "t")
     tail = binom_tail_upper(n, theta, c)
     if tail == 0.0:
         return 1.0
@@ -159,8 +163,7 @@ def support_budget(theta: float, t: int) -> tuple[int, int]:
     ``total = t * per_row``. The snap guard keeps exact reciprocals (e.g.
     ``theta = 1/6``) from rounding up spuriously.
     """
-    if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
+    t = _positive_int(t, "t")
     if not (0.0 < theta <= 1.0) or math.isnan(theta):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     per_row = _ceil_snapped(1.0 / (2.0 * theta)) - 1

@@ -537,12 +537,13 @@ def _recover_many(problems: list, profiles: Optional[list], col_maxes: Optional[
     # each grid's columns share its missing rows: solve the columns of every attempting
     # grid at once, and repair a grid's failed rows only if all of its columns converged
     i = np.flatnonzero(attempt & row_ok.any(axis=1) & ~row_ok.all(axis=1))
-    cols, conv, _ = l1_recover_many(out[i].transpose(0, 2, 1).reshape(-1, t),
-                                    np.repeat(~row_ok[i], n, axis=0),
-                                    L1Domain.MinimizeFreqL1, tol, max_iter)
     repaired = np.zeros_like(row_ok)
-    repaired[i] = ~row_ok[i] & conv.reshape(-1, n).all(axis=1)[:, None]
-    out[i] = np.where(repaired[i, :, None], cols.reshape(-1, n, t).transpose(0, 2, 1), out[i])
+    if i.size:
+        cols, conv, _ = l1_recover_many(out[i].transpose(0, 2, 1).reshape(-1, t),
+                                        np.repeat(~row_ok[i], n, axis=0),
+                                        L1Domain.MinimizeFreqL1, tol, max_iter)
+        repaired[i] = ~row_ok[i] & conv.reshape(-1, n).all(axis=1)[:, None]
+        out[i] = np.where(repaired[i, :, None], cols.reshape(-1, n, t).swapaxes(1, 2), out[i])
 
     # repaired rows must match their own observations; every row's residual is against them
     row_err = _observed_residual(out, b, ~mask)

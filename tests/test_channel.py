@@ -9,6 +9,7 @@ from scipy import stats
 from gabor_recover.channel import (
     ErasurePattern,
     ErasureStats,
+    _sample_masks,
     apply_erasure,
     erasure_stats,
     pattern_from_json,
@@ -88,6 +89,23 @@ class TestSampleErasure:
         with pytest.raises(ValueError):
             sample_erasure(DIMS, 1.0001, seed=0)
 
+    @pytest.mark.parametrize("theta", [True, np.bool_(False), "0.3", None, [0.3]],
+                             ids=["bool", "numpy-bool", "string", "none", "list"])
+    def test_rejects_theta_that_is_not_a_number(self, theta):
+        # True once read as 1 and erased every position
+        with pytest.raises(ValueError, match="theta must be a number"):
+            sample_erasure(DIMS, theta, seed=3)
+
+    def test_rejects_nan_theta(self):
+        for theta in (math.nan, np.float64(math.nan)):
+            with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+                sample_erasure(DIMS, theta, seed=3)
+
+    @pytest.mark.parametrize("theta", [np.float64(0.3), np.float32(0.5), np.float16(1.0)],
+                             ids=lambda theta: type(theta).__name__)
+    def test_numpy_float_theta_reads_as_its_float(self, theta):
+        assert sample_erasure(DIMS, theta, seed=7) == sample_erasure(DIMS, float(theta), seed=7)
+
     def test_mean_missing_count(self):
         dims = GridDims(n=64, t=8)
         total = 0
@@ -114,6 +132,30 @@ class TestSampleErasure:
         exp = np.append(expected[keep], expected[~keep].sum())
         result = stats.chisquare(obs, exp * obs.sum() / exp.sum())
         assert result.pvalue > 1e-3
+
+
+class TestSampleMasks:
+    @pytest.mark.parametrize("dims", [GridDims(n=1, t=1), GridDims(n=1, t=5), GridDims(n=7, t=1),
+                                      GridDims(n=16, t=4)], ids=str)
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+    def test_each_mask_is_its_seeds_own_draw(self, dims, theta):
+        seeds = [0, 1, 5, 2, 2**40 + 3]
+        masks = _sample_masks(dims, theta, seeds)
+        assert masks.dtype == bool and masks.shape == (len(seeds), dims.t, dims.n)
+        for mask, seed in zip(masks, seeds):
+            # the draw of a fresh PCG64 stream per seed, as a one-pattern sampler writes it
+            expected = np.random.Generator(np.random.PCG64(seed)).random((dims.t, dims.n)) < theta
+            assert np.array_equal(mask, expected)
+            assert np.array_equal(sample_erasure(dims, theta, seed).mask, expected)
+
+    def test_no_seeds_give_an_empty_stack(self):
+        masks = _sample_masks(GridDims(n=16, t=4), 0.3, [])
+        assert masks.shape == (0, 4, 16) and masks.dtype == bool
+
+    def test_checks_theta_as_sample_erasure_does(self):
+        for theta in (True, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="theta"):
+                _sample_masks(DIMS, theta, [0])
 
 
 class TestErasureStats:

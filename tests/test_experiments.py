@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from gabor_recover import experiments
-from gabor_recover.channel import apply_erasure, sample_erasure
+from gabor_recover.channel import apply_erasure, erasure_stats, sample_erasure
 from gabor_recover.experiments import (
     EXACT_REL_TOL,
     TRIAL_CSV_HEADER,
@@ -277,8 +277,30 @@ class TestRunExperiment:
         assert records == expected
         assert mode is ExperimentMode.RowRecovery or column_repairs > 0
 
-    @pytest.mark.parametrize("mode", [ExperimentMode.MmaxSweep, ExperimentMode.RowRecovery,
-                                      ExperimentMode.TwoStage])
+    @pytest.mark.parametrize("mode", [ExperimentMode.MmaxSweep, ExperimentMode.MminSweep])
+    def test_sweep_records_match_one_pattern_loop(self, monkeypatch, mode):
+        cfg = make_config(dims=GridDims(n=64, t=16), theta=0.3, trials=150, base_seed=7,
+                          mode=mode)
+        chunks, original = [], experiments._run_trials
+
+        def run_trials(config, seeds):
+            chunks.append(len(seeds))
+            return original(config, seeds)
+
+        monkeypatch.setattr(experiments, "_run_trials", run_trials)
+        _, records = run_experiment(cfg)
+        # a sweep chunk keeps 1-byte masks: 16 times the entries of a recovery chunk, and
+        # 150 trials end in a partial chunk
+        assert chunks == [64, 64, 22]
+        expected = []
+        for seed in range(7, 157):
+            stats = erasure_stats(sample_erasure(cfg.dims, cfg.theta, 2 * seed + 1))
+            expected.append(TrialRecord(seed, stats.m_max, stats.m_min, 0, False, 0.0))
+        assert records == expected
+        assert all(type(r.m_max) is int and type(r.m_min) is int for r in records)
+
+    @pytest.mark.parametrize("mode", [ExperimentMode.MmaxSweep, ExperimentMode.MminSweep,
+                                      ExperimentMode.RowRecovery, ExperimentMode.TwoStage])
     def test_chunk_size_leaves_artifacts_unchanged(self, monkeypatch, tmp_path, mode):
         cfg = make_config(dims=GridDims(n=16, t=4), theta=0.25, trials=20, mode=mode,
                           profile_shape=ProfileShape.SkewedRows)

@@ -266,6 +266,36 @@ class TestSupportBudget:
             support_budget(0.3, 0)
 
 
+class TestRowCountValidation:
+    """``t`` is read like ``n``: an integer, numpy's too, never a bool, and at least 1."""
+
+    @pytest.mark.parametrize("t", [2.5, 16.0, True, np.bool_(True), "16", None],
+                             ids=["fraction", "integral-float", "bool", "numpy-bool", "string",
+                                  "none"])
+    def test_rejects_t_that_is_not_an_integer(self, t):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            prob_mmax_below(64, t, 0.1, 16)
+        with pytest.raises(ValueError, match="t must be an integer"):
+            prob_mmin_below(64, t, 0.1, 16)
+        with pytest.raises(ValueError, match="t must be an integer"):
+            support_budget(0.1, t)
+
+    def test_rejects_t_below_one(self):
+        for t in (0, -3, np.int64(0)):
+            with pytest.raises(ValueError, match="t must be positive"):
+                prob_mmin_below(64, t, 0.1, 16)
+            with pytest.raises(ValueError, match="t must be positive"):
+                support_budget(0.1, t)
+
+    @pytest.mark.parametrize("t", [np.int64(16), np.int32(16), np.uint8(16)],
+                             ids=lambda t: type(t).__name__)
+    def test_numpy_integer_t_reads_as_its_int(self, t):
+        assert prob_mmax_below(64, t, 0.1, 16) == prob_mmax_below(64, 16, 0.1, 16)
+        assert prob_mmin_below(64, t, 0.1, 16) == prob_mmin_below(64, 16, 0.1, 16)
+        per_row, total = support_budget(0.1, t)
+        assert (per_row, total) == (4, 64) and type(total) is int
+
+
 class TestAsymptoticSweeps:
     def test_mmax_probability_climbs_to_one(self):
         # theta below the recoverable-rate threshold for per-row support 2

@@ -880,6 +880,38 @@ class TestRecoverTwoStage:
         alone = [recover_two_stage(p, max_iter=2) for p in problems]
         assert [report_to_json(r) for r in stacked] == [report_to_json(r) for r in alone]
 
+    def test_chunk_without_a_repair_makes_only_the_row_call(self, monkeypatch, rng):
+        # an erasure-free grid, a fully erased one, and one whose three lost rows are not
+        # certified at column bound 2; the last grid, one lost row at bound 2, repairs
+        n, t = 16, 8
+        dims = GridDims(n=n, t=t)
+        cases = [([], 2), (range(t), None), ([1, 2, 6], 2), ([3], 2)]
+        problems = []
+        for rows, _ in cases:
+            sig = two_level_column_signal(rng, n, t, active_cols=rng.choice(n, 3, replace=False))
+            lost = np.zeros((t, n), dtype=bool)
+            lost[list(rows)] = True
+            problems.append(apply_erasure(gabor_row(sig), ErasurePattern(dims, lost)))
+        bounds = [bound for _, bound in cases]
+        calls, original = [], recovery.l1_recover_many
+
+        def engine(values, *args, **kwargs):
+            calls.append(len(values))
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(recovery, "l1_recover_many", engine)
+        with_repair = recovery._recover_many(problems, None, bounds)
+        assert calls == [4 * t, n]
+        calls.clear()
+        without = recovery._recover_many(problems[:3], None, bounds[:3])
+        assert calls == [3 * t]
+        assert [report_to_json(r) for r in without] == [report_to_json(r)
+                                                         for r in with_repair[:3]]
+        assert [r.stage for r in without] == [RecoveryStage.RowOnly,
+                                              RecoveryStage.RowThenColumn,
+                                              RecoveryStage.RowThenColumn]
+        assert all(s is RowStatus.Recovered for s in with_repair[3].row_status)
+
     def test_stacked_grids_must_share_a_shape(self, rng):
         problems = [apply_erasure(gabor_row(sparse_grid_signal(rng, dims, 1)),
                                   ErasurePattern.from_missing(dims, []))
