@@ -152,11 +152,6 @@ class TestSampleMasks:
         masks = _sample_masks(GridDims(n=16, t=4), 0.3, [])
         assert masks.shape == (0, 4, 16) and masks.dtype == bool
 
-    def test_checks_theta_as_sample_erasure_does(self):
-        for theta in (True, -0.1, 1.5, math.nan):
-            with pytest.raises(ValueError, match="theta"):
-                _sample_masks(DIMS, theta, [0])
-
 
 class TestErasureStats:
     def test_empty(self):

@@ -280,13 +280,6 @@ class TestRowCountValidation:
         with pytest.raises(ValueError, match="t must be an integer"):
             support_budget(0.1, t)
 
-    def test_rejects_t_below_one(self):
-        for t in (0, -3, np.int64(0)):
-            with pytest.raises(ValueError, match="t must be positive"):
-                prob_mmin_below(64, t, 0.1, 16)
-            with pytest.raises(ValueError, match="t must be positive"):
-                support_budget(0.1, t)
-
     @pytest.mark.parametrize("t", [np.int64(16), np.int32(16), np.uint8(16)],
                              ids=lambda t: type(t).__name__)
     def test_numpy_integer_t_reads_as_its_int(self, t):
