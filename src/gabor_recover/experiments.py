@@ -24,17 +24,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import ErasurePattern, _sample_masks, apply_erasure
+from .channel import _sample_masks
 from .probbounds import (
     binom_tail_upper,
     lemma_tail_bound,
     prob_mmax_below,
     prob_mmin_below,
 )
-from .recovery import DEFAULT_FEAS_TOL, RowStatus, _recover_many, ds_condition
-from .signal import (GridDims, Signal2D, _strict_float, _strict_int, column_support_max,
-                     support_profile)
-from .transforms import gabor_col, gabor_row
+from .recovery import DEFAULT_FEAS_TOL, _recover_many, ds_condition
+from .signal import GridDims, Signal2D, _active, _strict_float, _strict_int
+from .transforms import _dft
 
 __all__ = [
     "ExperimentMode",
@@ -96,6 +95,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.dims, GridDims):
             raise ValueError("dims must be a GridDims")
+        for name in ("theta", "tol"):
+            object.__setattr__(self, name, _strict_float(getattr(self, name), name))
+        for name in ("trials", "base_seed", "e_max_target"):
+            object.__setattr__(self, name, _strict_int(getattr(self, name), name))
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.trials < 1:
@@ -245,28 +248,26 @@ def _run_trials(config: ExperimentConfig, seeds: range) -> list:
     # the signal and the pattern draw from separate seeds, so their order is free
     masks = _sample_masks(config.dims, config.theta, [2 * seed + 1 for seed in seeds])
     counts = masks.sum(axis=2)
-    records = [TrialRecord(seed, m_max, m_min, 0, False, 0.0) for seed, m_max, m_min
-               in zip(seeds, counts.max(1).tolist(), counts.min(1).tolist())]
+    extremes = zip(seeds, counts.max(1).tolist(), counts.min(1).tolist())
     if config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep):
-        return records
+        return [TrialRecord(seed, m_max, m_min, 0, False, 0.0) for seed, m_max, m_min in extremes]
 
-    signals = [generate_test_signal(config.dims, config.e_max_target, 2 * seed,
-                                    config.profile_shape) for seed in seeds]
-    problems = [apply_erasure(gabor_row(signal), ErasurePattern(config.dims, mask))
-                for signal, mask in zip(signals, masks)]
+    truth = np.array([generate_test_signal(config.dims, config.e_max_target, 2 * seed,
+                                           config.profile_shape).values for seed in seeds])
+    b = np.where(masks, 0.0 + 0.0j, _dft(truth, axis=2))
     if config.mode is ExperimentMode.RowRecovery:
-        reports = _recover_many(problems, [support_profile(s) for s in signals], None, config.tol)
+        out, ok, residual, *_ = _recover_many(b, masks, _active(truth, None).sum(axis=2), None,
+                                              config.tol)
     else:
-        reports = _recover_many(problems, None, [column_support_max(gabor_col(s))
-                                                 for s in signals], config.tol)
-    for i, (signal, report) in enumerate(zip(signals, reports)):
-        rows = report.row_status.count(RowStatus.Recovered)  # if t, report.recovered is set
-        denom = np.linalg.norm(signal.values)
+        col_maxes = _active(_dft(truth, axis=1), None).sum(axis=1).max(axis=1)
+        out, ok, residual, *_ = _recover_many(b, masks, None, col_maxes.tolist(), config.tol)
+    records = []
+    for (seed, m_max, m_min), rows, got, want, res in zip(extremes, ok.sum(axis=1).tolist(), out,
+                                                          truth, residual.tolist()):
+        denom = np.linalg.norm(want)
         exact = rows == config.dims.t and bool(
-            np.linalg.norm(report.recovered.values - signal.values) < EXACT_REL_TOL * denom
-            or denom == 0)
-        records[i] = records[i]._replace(rows_recovered=rows, exact_recovery=exact,
-                                         residual=float(report.residual))
+            np.linalg.norm(got - want) < EXACT_REL_TOL * denom or denom == 0)
+        records.append(TrialRecord(seed, m_max, m_min, rows, exact, res))
     return records
 
 

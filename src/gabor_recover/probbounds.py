@@ -18,6 +18,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from .signal import _strict_float
+
 __all__ = [
     "TailBoundResult",
     "binom_tail_upper",
@@ -45,12 +47,13 @@ def _positive_int(value, name: str) -> int:
     return int(value)
 
 
-def _validate_n_theta(n: int, theta: float) -> int:
-    """``n`` as a plain ``int``, after checking ``n`` and ``theta``."""
+def _validate_n_theta(n: int, theta: float) -> tuple[int, float]:
+    """``n`` as a plain ``int`` and ``theta`` as a ``float`` in [0, 1]; else ValueError."""
     n = _positive_int(n, "n")
-    if not (0.0 <= theta <= 1.0) or math.isnan(theta):
+    theta = _strict_float(theta, "theta")
+    if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    return n
+    return n, theta
 
 
 def _log_pmf(n: int, j: int, theta: float) -> float:
@@ -67,7 +70,7 @@ def binom_tail_upper(n: int, theta: float, threshold: float) -> float:
     past the mode that underflows to 0.0: the pmf only falls from there, so
     every later term is 0.0 as well and the sum is unchanged.
     """
-    n = _validate_n_theta(n, theta)
+    n, theta = _validate_n_theta(n, theta)
     j = _ceil_snapped(threshold)
     if j <= 0:
         return 1.0
@@ -92,7 +95,7 @@ def binom_tail_lower(n: int, theta: float, threshold: float) -> float:
     It is ``binom_tail_upper(n, 1-theta, n-threshold)``, the upper tail of
     ``n - X``, as ``ceil(n-c-snap) = n - floor(c+snap)``; it stops early too.
     """
-    n = _validate_n_theta(n, theta)
+    n, theta = _validate_n_theta(n, theta)
     return binom_tail_upper(n, 1.0 - theta, n - threshold)
 
 
@@ -117,7 +120,8 @@ def lemma_tail_bound(n: int, theta: float, k: float) -> TailBoundResult:
     least ``r = (n-j)*theta / ((j+1)*(1-theta))``, so when ``r < 1`` the tail
     is at most ``pmf(j) / (1 - r)``. Requires ``0 < theta < k < 1``.
     """
-    n = _validate_n_theta(n, theta)
+    n, theta = _validate_n_theta(n, theta)
+    k = _strict_float(k, "k")
     if not (0.0 < theta < k < 1.0):
         raise ValueError(f"need 0 < theta < k < 1, got theta={theta}, k={k}")
     j = _ceil_snapped(n * k)  # in [0, n], as 0 < n*k < n
@@ -164,7 +168,8 @@ def support_budget(theta: float, t: int) -> tuple[int, int]:
     ``theta = 1/6``) from rounding up spuriously.
     """
     t = _positive_int(t, "t")
-    if not (0.0 < theta <= 1.0) or math.isnan(theta):
+    theta = _strict_float(theta, "theta")
+    if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     per_row = _ceil_snapped(1.0 / (2.0 * theta)) - 1
     per_row = max(per_row, 0)

@@ -26,6 +26,9 @@ Row-wise recovery applies the solve to each row of a grid independently,
 optionally certifying rows through the product condition
 ``row_support * row_missing < n/2``. The two-stage pipeline repairs rows the
 row stage could not produce by running the dual orientation down each column.
+Both are one function on ``(G, t, n)`` stacks of grids, returning stacked
+signals, row flags, residuals and guarantee flags; ``recover_rows`` and
+``recover_two_stage`` are its one-grid case, and only they build a report.
 """
 
 from __future__ import annotations
@@ -480,63 +483,43 @@ def uniqueness_oracle_1d(support, missing, n: int) -> bool:
 # grid pipelines
 # ----------------------------------------------------------------------------
 
-def _report(problem: RecoveryProblem, stage: RecoveryStage, out: np.ndarray, ok: np.ndarray,
-            residual: np.ndarray, guarantee: tuple) -> RecoveryReport:
-    """Report rows ``ok`` as Recovered and zero the others in ``out`` (in place).
+def _recover_many(b: np.ndarray, mask: np.ndarray, supports: Optional[np.ndarray],
+                  col_maxes: Optional[list], tol=DEFAULT_FEAS_TOL, max_iter=DEFAULT_MAX_ITER):
+    """:func:`recover_rows`, or given ``col_maxes`` :func:`recover_two_stage`, on a stack of grids.
 
-    ``residual`` is per row; the report keeps its maximum over rows ``ok``.
-    The recovered signal is None when no row is ``ok``.
+    ``b`` (zero where missing) and ``mask`` are ``(G, t, n)``, ``supports`` the
+    row supports ``(G, t)`` or None, and ``col_maxes`` each grid's column bound
+    (None attempts unbounded) or None for no column stage. All rows share one
+    engine call, and the columns of grids that attempt the repair one more; the
+    engine solves each as it would alone. Returns per grid the signals zeroed
+    off rows ``ok``, ``ok``, the residual over them, the row and column
+    guarantee flags and whether the column stage ran.
     """
-    out[~ok] = 0.0
-    return RecoveryReport(
-        stage=stage,
-        row_status=tuple(RowStatus.Recovered if r else RowStatus.Failed for r in ok),
-        residual=float(residual[ok].max(initial=0.0)),
-        guarantee_held=tuple(bool(g) for g in guarantee),
-        recovered=Signal2D(dims=problem.dims, values=out) if ok.any() else None,
-    )
-
-
-def _recover_many(problems: list, profiles: Optional[list], col_maxes: Optional[list],
-                  tol: float = DEFAULT_FEAS_TOL, max_iter: int = DEFAULT_MAX_ITER) -> list:
-    """Reports of :func:`recover_rows`, or given ``col_maxes`` :func:`recover_two_stage`, per grid.
-
-    The grids share one shape, and ``profiles`` and ``col_maxes`` hold each
-    grid's argument. All rows share one engine call, and the columns of grids
-    that attempt the repair one more; the engine solves each as it would alone.
-    """
-    for problem in problems:
-        if problem.kind is not TransformKind.GaborRow:
-            raise ValueError(f"row recovery expects GaborRow data, got {problem.kind.value}")
     if any(c is not None and c < 1 for c in col_maxes or ()):
         raise ValueError("col_transform_support_max must be a positive integer")
-    mask = np.array([problem.pattern.mask for problem in problems])
-    b = np.where(mask, 0.0 + 0.0j, [problem.observed_values for problem in problems])
-    if profiles is not None:
-        supports = np.array([profile.row_supports for profile in profiles], dtype=int)
-        if supports.shape != mask.shape[:2]:
-            raise ValueError("profile row count does not match grid")
     grids, t, n = mask.shape
     out, converged, resid = l1_recover_many(b.reshape(-1, n), mask.reshape(-1, n),
                                             tol=tol, max_iter=max_iter)
     out, resid, m_counts = out.reshape(mask.shape), resid.reshape(grids, t), mask.sum(axis=2)
     row_ok = converged.reshape(grids, t) & (m_counts < n)
-    # erasure-free rows are certified unconditionally, others by the profile
+    # erasure-free rows are certified unconditionally, others by their supports
     cert = m_counts == 0
-    if profiles is not None:
+    if supports is not None:
         cert |= ds_condition(supports, m_counts, n)
         row_ok &= cert
     row_guarantee = ~(row_ok & ~cert).any(axis=1)
     if col_maxes is None:
-        return [_report(p, RecoveryStage.RowOnly, o, k, r, (g,))
-                for p, o, k, r, g in zip(problems, out, row_ok, resid, row_guarantee)]
+        out[~row_ok] = 0.0
+        residual = np.where(row_ok, resid, 0.0).max(axis=1)
+        return out, row_ok, residual, row_guarantee, *np.zeros((2, grids), dtype=bool)
 
-    certified = np.array([c is not None and ds_condition(int(f), c, t)
-                          for c, f in zip(col_maxes, (~row_ok).sum(axis=1))], dtype=bool)
-    attempt = certified | [c is None for c in col_maxes]
+    bounded = np.array([c is not None for c in col_maxes], dtype=bool)
+    bounds = np.array([0 if c is None else c for c in col_maxes])
+    certified = bounded & ds_condition((~row_ok).sum(axis=1), bounds, t)
     # each grid's columns share its missing rows: solve the columns of every attempting
     # grid at once, and repair a grid's failed rows only if all of its columns converged
-    i = np.flatnonzero(attempt & row_ok.any(axis=1) & ~row_ok.all(axis=1))
+    column_stage = ~row_ok.all(axis=1)
+    i = np.flatnonzero((certified | ~bounded) & row_ok.any(axis=1) & column_stage)
     repaired = np.zeros_like(row_ok)
     if i.size:
         cols, conv, _ = l1_recover_many(out[i].transpose(0, 2, 1).reshape(-1, t),
@@ -548,11 +531,30 @@ def _recover_many(problems: list, profiles: Optional[list], col_maxes: Optional[
     # repaired rows must match their own observations; every row's residual is against them
     row_err = _observed_residual(out, b, ~mask)
     demoted = repaired & (row_err > tol * np.maximum(1.0, np.abs(b).max(axis=2)))
-    col_guarantee = certified & ~demoted.any(axis=1)
-    return [_report(p, RecoveryStage.RowOnly, o, k, r, (g,)) if k.all() else
-            _report(p, RecoveryStage.RowThenColumn, o, k | (fix & ~dem), e, (g, c))
-            for p, o, k, r, g, fix, dem, e, c in zip(problems, out, row_ok, resid, row_guarantee,
-                                                      repaired, demoted, row_err, col_guarantee)]
+    ok = row_ok | (repaired & ~demoted)
+    out[~ok] = 0.0
+    residual = np.where(ok, np.where(column_stage[:, None], row_err, resid), 0.0).max(axis=1)
+    return out, ok, residual, row_guarantee, certified & ~demoted.any(axis=1), column_stage
+
+
+def _report(problem: RecoveryProblem, profile, col_maxes, tol, max_iter) -> RecoveryReport:
+    """:func:`_recover_many` on one problem's grid; ``recovered`` is None if no row is."""
+    if problem.kind is not TransformKind.GaborRow:
+        raise ValueError(f"row recovery expects GaborRow data, got {problem.kind.value}")
+    mask = problem.pattern.mask[None]
+    supports = None if profile is None else np.array([profile.row_supports], dtype=int)
+    if supports is not None and supports.shape != mask.shape[:2]:
+        raise ValueError("profile row count does not match grid")
+    out, ok, residual, row_guarantee, col_guarantee, column_stage = (
+        grid[0] for grid in _recover_many(np.where(mask, 0.0 + 0.0j, problem.observed_values),
+                                          mask, supports, col_maxes, tol, max_iter))
+    return RecoveryReport(
+        stage=RecoveryStage.RowThenColumn if column_stage else RecoveryStage.RowOnly,
+        row_status=tuple(RowStatus.Recovered if r else RowStatus.Failed for r in ok),
+        residual=float(residual),
+        guarantee_held=(bool(row_guarantee), bool(col_guarantee))[:1 + column_stage],
+        recovered=Signal2D(dims=problem.dims, values=out) if ok.any() else None,
+    )
 
 
 def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FEAS_TOL,
@@ -567,8 +569,7 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
     only erasure-free rows were certified). Rows with nothing observed are
     Failed. This is :func:`_recover_many` on one grid.
     """
-    return _recover_many([problem], None if profile is None else [profile], None, tol,
-                         max_iter)[0]
+    return _report(problem, profile, None, tol, max_iter)
 
 
 def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optional[int] = None,
@@ -585,7 +586,7 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     stay consistent with their own surviving observations within ``tol`` or
     they are demoted back to Failed. This is :func:`_recover_many` on one grid.
     """
-    return _recover_many([problem], None, [col_transform_support_max], tol, max_iter)[0]
+    return _report(problem, None, [col_transform_support_max], tol, max_iter)
 
 
 def report_to_json(report: RecoveryReport) -> str:

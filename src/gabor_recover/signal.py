@@ -37,8 +37,9 @@ class GridDims:
     t: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and isinstance(self.t, (int, np.integer))):
-            raise ValueError("grid dimensions must be integers")
+        for name, value in (("n", self.n), ("t", self.t)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"grid dimension {name} must be an integer, got {value!r}")
         if self.n < 1 or self.t < 1:
             raise ValueError(f"grid dimensions must be positive, got n={self.n}, t={self.t}")
         # normalize numpy ints so serialization stays plain
@@ -124,11 +125,12 @@ class SupportProfile:
         return sum(self.row_supports)
 
 
-def _active(signal: Signal2D, tol) -> np.ndarray:
-    """Where the modulus exceeds ``tol``, or 1e-9 of the max modulus when ``tol`` is None."""
-    mag = np.abs(signal.values)
+def _active(values: np.ndarray, tol) -> np.ndarray:
+    """Where the modulus exceeds ``tol``, or 1e-9 of its own grid's max modulus when ``tol`` is
+    None; ``values`` is one ``(t, n)`` grid or a stack of them."""
+    mag = np.abs(values)
     if tol is None:
-        return mag > DEFAULT_REL_TOL * mag.max()
+        return mag > DEFAULT_REL_TOL * mag.max(axis=(-2, -1), keepdims=True)
     tol = _strict_float(tol, "tol")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
@@ -141,13 +143,13 @@ def support(signal: Signal2D, tol=None) -> set:
     ``tol`` is an absolute modulus threshold; when omitted it defaults to
     1e-9 relative to the signal's max modulus.
     """
-    ys, xs = np.nonzero(_active(signal, tol))
+    ys, xs = np.nonzero(_active(signal.values, tol))
     return {(int(x), int(y)) for x, y in zip(xs, ys)}
 
 
 def support_profile(signal: Signal2D, tol=None) -> SupportProfile:
     """Per-row support counts of the signal."""
-    return SupportProfile(row_supports=_active(signal, tol).sum(axis=1))
+    return SupportProfile(row_supports=_active(signal.values, tol).sum(axis=1))
 
 
 def column_support_max(signal: Signal2D, tol=None) -> int:
@@ -156,7 +158,7 @@ def column_support_max(signal: Signal2D, tol=None) -> int:
     Typically applied to a column-wise transform to measure its largest
     per-column spectral support.
     """
-    return int(_active(signal, tol).sum(axis=0).max())
+    return int(_active(signal.values, tol).sum(axis=0).max())
 
 
 def signal_payload(signal: Signal2D) -> dict:

@@ -63,6 +63,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             make_config(sweep=(16, 8))
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta", True), ("theta", "0.1"), ("theta", None), ("tol", True), ("tol", "1e-9"),
+        ("trials", True), ("trials", 2.5), ("trials", "4"), ("base_seed", True),
+        ("base_seed", None), ("e_max_target", True), ("e_max_target", np.bool_(True)),
+    ])
+    def test_fields_read_strictly_by_name(self, field, value):
+        # a bool is never a number here, and each failure names its field
+        with pytest.raises(ValueError, match=f"^{field} must be an? "):
+            make_config(**{field: value})
+
     def test_sweep_normalized(self):
         cfg = make_config(sweep=[np.int64(8), 16])
         assert cfg.sweep == (8, 16)
@@ -249,9 +259,10 @@ class TestRunExperiment:
                           base_seed=base_seed, mode=mode, profile_shape=shape)
         stacked, original = [], experiments._recover_many
 
-        def recover_many(problems, *args):
-            stacked.append(len(problems))
-            return original(problems, *args)
+        def recover_many(values, mask, *args):
+            assert values.shape == mask.shape == (len(values), 8, n)
+            stacked.append(len(values))
+            return original(values, mask, *args)
 
         monkeypatch.setattr(experiments, "_recover_many", recover_many)
         _, records = run_experiment(cfg)

@@ -75,6 +75,19 @@ class TestBinomTailUpper:
         for n in (True, np.bool_(True), 10.0):
             with pytest.raises(ValueError, match="n must be an integer"):
                 binom_tail_upper(n, 0.5, 1)
+        # theta and k are numbers, never a bool or a string
+        for theta in (True, np.bool_(True), "0.1", None):
+            for call in (lambda: binom_tail_upper(16, theta, 4),
+                         lambda: binom_tail_lower(16, theta, 4),
+                         lambda: prob_mmax_below(16, 4, theta, 4),
+                         lambda: prob_mmin_below(16, 4, theta, 4),
+                         lambda: lemma_tail_bound(16, theta, 0.5),
+                         lambda: support_budget(theta, 4)):
+                with pytest.raises(ValueError, match="theta must be a number"):
+                    call()
+        for k in (True, "0.5", None):
+            with pytest.raises(ValueError, match="k must be a number"):
+                lemma_tail_bound(16, 0.1, k)
 
     @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint8(10)],
                              ids=lambda n: type(n).__name__)

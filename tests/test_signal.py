@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gabor_recover.signal import (
+    DEFAULT_REL_TOL,
     GridDims,
     Signal2D,
     column_support_max,
@@ -11,7 +12,9 @@ from gabor_recover.signal import (
     signal_to_json,
     support,
     support_profile,
+    _active,
 )
+from gabor_recover.transforms import _dft, gabor_col
 
 
 def make(n, t, entries):
@@ -30,6 +33,12 @@ class TestGridDims:
     @pytest.mark.parametrize("n,t", [(0, 3), (4, 0), (-1, 2), (3, -5)])
     def test_rejects_nonpositive(self, n, t):
         with pytest.raises(ValueError):
+            GridDims(n=n, t=t)
+
+    @pytest.mark.parametrize("n,t,name", [(True, True, "n"), (4, True, "t"),
+                                          (np.bool_(True), 3, "n"), (4.0, 3, "n"), (4, 3.0, "t")])
+    def test_rejects_bools_and_floats_by_name(self, n, t, name):
+        with pytest.raises(ValueError, match=f"grid dimension {name} must be an integer"):
             GridDims(n=n, t=t)
 
     def test_degenerate_grids_legal(self):
@@ -153,6 +162,24 @@ class TestColumnSupportMax:
         sig = Signal2D(dims=GridDims(n=8, t=5), values=vals.astype(complex))
         expect = max(sum(1 for y in range(5) if abs(vals[y, x]) > 0) for x in range(8))
         assert column_support_max(sig, tol=0.0) == expect
+
+
+class TestActiveOnAStack:
+    def test_each_grid_reads_against_its_own_peak(self, rng):
+        # a 1e-8 entry is active against a peak of 1, not against the 100 of the next grid
+        vals = np.zeros((3, 4, 6), dtype=complex)
+        vals[1] = (rng.random((4, 6)) < 0.5) * np.exp(2j * np.pi * rng.random((4, 6)))
+        vals[1, 2, 3], vals[1, 0, 0] = 1e-8, 1.0
+        vals[2] = 100 * rng.normal(size=(4, 6)) * (rng.random((4, 6)) < 0.4)
+        vals[2, 1, 1] = 1e-6
+        active = _active(vals, None)
+        cols = _active(_dft(vals, axis=1), None)
+        signals = [Signal2D(dims=GridDims(n=6, t=4), values=v) for v in vals]
+        assert active.sum(axis=2).tolist() == [list(support_profile(s).row_supports)
+                                               for s in signals]
+        assert cols.sum(axis=1).max(axis=1).tolist() == [column_support_max(gabor_col(s))
+                                                         for s in signals]
+        assert not np.array_equal(active, np.abs(vals) > DEFAULT_REL_TOL * np.abs(vals).max())
 
 
 class TestJson:
