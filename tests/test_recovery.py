@@ -866,11 +866,13 @@ class TestRecoverTwoStage:
                     assert two.row_status[a] is RowStatus.Recovered
 
     def test_stacked_grids_report_as_each_alone(self, rng):
-        # grids that repair different erased rows, are not certified, attempt without a bound,
-        # fail nothing or fail every row, stacked into one pair of solves
+        # grids that repair different erased rows, are not certified (at bound 2, or at bound t
+        # where bound 2 would certify), attempt without a bound, fail nothing or fail every
+        # row, stacked into one pair of solves
         n, t = 16, 8
         dims = GridDims(n=n, t=t)
-        cases = [([3], 2), ([0], None), ([5], 2), ([1, 2, 6], 2), ([], 2), (range(t), None)]
+        cases = [([3], 2), ([0], None), ([5], 2), ([1, 2, 6], 2), ([], 2), (range(t), None),
+                 ([4], t)]
         problems = []
         for rows, _ in cases:
             sig = two_level_column_signal(rng, n, t, active_cols=rng.choice(n, 3, replace=False))
@@ -882,7 +884,8 @@ class TestRecoverTwoStage:
         stacked = recovery._recover_many(*stack_problems(problems), None, bounds)
         alone = [recover_two_stage(p, bound) for p, bound in zip(problems, bounds)]
         assert_reports_match(stacked, alone)
-        assert [r.stage for r in alone].count(RecoveryStage.RowThenColumn) == 5
+        assert [r.stage for r in alone].count(RecoveryStage.RowThenColumn) == 6
+        assert alone[-1].guarantee_held[1] is False
         # three repairs (two certified) and the erasure-free grid
         assert sum(all(s is RowStatus.Recovered for s in r.row_status) for r in alone) == 4
 
