@@ -15,16 +15,18 @@ imports that side's ``src/``. Both sides get the same inputs:
 * ``--grids`` random grids (n = 8..64, t = 2..11, ``max_iter`` from 1 to 1e5,
   column support bound None, 1, 2 or t) through ``recover_rows`` and
   ``recover_two_stage``;
+* ``generate_test_signal`` draws of both profile shapes at several
+  ``(n, t, e_max)`` and ``DRAW_SEEDS`` seeds each;
 * a fixed set of CLI runs covering every experiment mode, driven by flags, and
   one two-stage run that reads a config file and overrides one of its fields.
 
 A decision is a converged flag, a row status, a guarantee flag, whether a
-report recovered anything, its stage, and every integer, boolean, string or
-empty cell of an artifact. The script prints each side's ``src/`` line count
+report recovered anything, its stage, a draw's support, and every integer,
+boolean, string or empty cell of an artifact. The script prints each side's ``src/`` line count
 (newlines in its ``.py`` files, as ``wc -l`` counts them), the changed
 decisions, the largest drift of any float, and the counts of bit-identical
-engine outputs, byte-identical ``report_to_json`` strings and byte-identical
-artifacts. It exits 1 when any decision changed, and 2 when a side fails to
+engine outputs, byte-identical ``report_to_json`` strings, bit-identical
+draws and byte-identical artifacts. It exits 1 when any decision changed, and 2 when a side fails to
 run.
 """
 
@@ -44,6 +46,10 @@ import numpy as np
 from bench_compare import export
 
 SHORT_BUDGETS = (1, 2, 3, 8, 16)
+# (n, t, e_max) of the compared test-signal draws; SkewedRows needs t a power of two >= 4
+# and e_max >= log2(t), so each shape suits both profile shapes
+DRAW_SHAPES = ((4, 4, 2), (8, 8, 3), (16, 8, 7), (12, 4, 12), (32, 16, 4), (64, 32, 9))
+DRAW_SEEDS = 200
 GRID_BUDGETS = (1, 2, 3, 8, 16, 100, 1000, 100_000)
 
 # every experiment mode; the two-stage runs reach the column stage, and the
@@ -135,6 +141,17 @@ def _grids(count: int, out: Path) -> None:
     (out / "grids.json").write_text(json.dumps(records))
 
 
+def _draws(out: Path) -> None:
+    from gabor_recover.experiments import ProfileShape, generate_test_signal
+    from gabor_recover.signal import GridDims
+
+    np.savez(out / "draws.npz", **{
+        f"{shape.value}_{n}_{t}_{e_max}": np.array(
+            [generate_test_signal(GridDims(n=n, t=t), e_max, seed, shape).values
+             for seed in range(DRAW_SEEDS)])
+        for shape in ProfileShape for n, t, e_max in DRAW_SHAPES})
+
+
 def _cli_runs(out: Path) -> None:
     from gabor_recover import cli
 
@@ -157,6 +174,7 @@ def collect(out: Path, batches: int, grids: int) -> None:
         raise SystemExit(f"gabor_recover was imported from {gabor_recover.__file__}, not {src}")
     _engine_batches(batches, out)
     _grids(grids, out)
+    _draws(out)
     _cli_runs(out)
 
 
@@ -210,6 +228,20 @@ def compare_grids(base: Path, head: Path, tally: Tally) -> str:
             tally.float_drift(rb["residual"], rh["residual"])
     return (f"grids: {identical}/{2 * len(b_all)} reports byte-identical "
             f"({len(b_all)} grids, {column_stage} reaching the column stage)")
+
+
+def compare_draws(base: Path, head: Path, tally: Tally) -> str:
+    with np.load(base / "draws.npz") as b, np.load(head / "draws.npz") as h:
+        identical = 0
+        for key in b.files:
+            tally.float_drift(b[key], h[key])
+            identical += sum(x.tobytes() == y.tobytes() for x, y in zip(b[key], h[key]))
+            # a draw's support is a decision; its entries are of modulus about 1
+            active = [np.abs(side[key]) > 1e-9 for side in (b, h)]
+            moved = np.flatnonzero((active[0] != active[1]).any(axis=(1, 2)))
+            tally.changed += [f"draw {key} seed {seed}: support" for seed in moved]
+    return (f"draws: {identical}/{len(b.files) * DRAW_SEEDS} bit-identical "
+            f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes)")
 
 
 def _json_leaves(path: Path) -> list:
@@ -316,6 +348,7 @@ def main() -> int:
         tally = Tally()
         print(compare_engine(base, head, args.batches, tally))
         print(compare_grids(base, head, tally))
+        print(compare_draws(base, head, tally))
         print(compare_artifacts(base, head, tally))
     print(f"max float drift: {tally.drift:.3g}")
     print(f"changed decisions: {len(tally.changed)}")

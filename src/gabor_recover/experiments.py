@@ -153,17 +153,15 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     number in an integer field is a ValueError. Number fields take JSON numbers
     only, never a bool, string or null, and ``sweep`` takes a list.
     """
-    casts = {"profile_shape": ProfileShape, "tol": lambda tol: _strict_float(tol, "tol"),
-             "sweep": lambda sweep: sweep, "output_path": lambda path: path}
+    # ExperimentConfig reads every other field by name; GridDims takes no integral float
+    optional = ("trials", "base_seed", "sweep", "tol", "output_path")
     try:
-        ints = {key: _strict_int(data[key], key) for key in ("trials", "base_seed") if key in data}
         return ExperimentConfig(
             dims=GridDims(n=_strict_int(data["n"], "n"), t=_strict_int(data["t"], "t")),
-            theta=_strict_float(data["theta"], "theta"),
-            e_max_target=_strict_int(data["e_max_target"], "e_max_target"),
+            theta=data["theta"], e_max_target=data["e_max_target"],
             mode=ExperimentMode(data["mode"]),
-            **ints,
-            **{key: cast(data[key]) for key, cast in casts.items() if key in data},
+            profile_shape=ProfileShape(data.get("profile_shape", ExperimentConfig.profile_shape)),
+            **{key: data[key] for key in optional if key in data},
         )
     except KeyError as exc:
         raise ValueError(f"config is missing required field {exc.args[0]!r}") from exc
@@ -187,6 +185,39 @@ def _skewed_levels(t: int, e_max_target: int) -> int:
     return levels
 
 
+def _test_signals(dims: GridDims, e_max_target: int, seeds,
+                  profile_shape: ProfileShape) -> np.ndarray:
+    """The signals :func:`generate_test_signal` draws at these seeds, stacked ``(G, t, n)``."""
+    n, t = dims.n, dims.t
+    if not (1 <= e_max_target <= n):
+        raise ValueError(f"e_max_target must lie in [1, n={n}], got {e_max_target}")
+    vals = np.zeros((len(seeds), t, n), dtype=np.complex128)
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    if profile_shape is ProfileShape.UniformRows:
+        for rng, grid in zip(rngs, vals):
+            order = np.argsort(rng.random((t, n)), axis=1)[:, :e_max_target]
+            phases = np.exp(2j * np.pi * rng.random((t, e_max_target)))
+            np.put_along_axis(grid, order, phases, axis=1)
+        return vals
+    if profile_shape is not ProfileShape.SkewedRows:
+        raise ValueError(f"unknown profile shape {profile_shape!r}")
+
+    # one column per dyadic level first, extras rotate from the largest coset down
+    levels = (np.sort(np.arange(e_max_target) % _skewed_levels(t, e_max_target)) + 1).tolist()
+    y = np.arange(t)
+    for rng, grid in zip(rngs, vals):
+        cols = rng.choice(n, size=e_max_target, replace=False)
+        dense_row = int(rng.integers(t))
+        for col, level in zip(cols, levels):
+            step = t >> level                       # frequency offset for this level
+            freq = int(rng.integers(t))
+            amp = np.exp(2j * np.pi * rng.random())
+            pair = amp * np.exp(-2j * np.pi * dense_row / (1 << level))
+            grid[:, col] = (amp * np.exp(2j * np.pi * freq * y / t)
+                            + pair * np.exp(2j * np.pi * ((freq + step) % t) * y / t))
+    return vals
+
+
 def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
                          profile_shape: ProfileShape = ProfileShape.UniformRows) -> Signal2D:
     """Draw a structured random signal with a prescribed max row support.
@@ -201,42 +232,10 @@ def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
     except one shared row, so that row sees every column (support
     ``e_max_target``) while each remaining row loses at least one column
     (support strictly smaller). Requires the number of rows to be a power of
-    two, at least 4, with ``log2(t) <= e_max_target <= n``.
+    two, at least 4, with ``log2(t) <= e_max_target <= n``. This is the one-seed
+    case of the stack the trial harness draws.
     """
-    n, t = dims.n, dims.t
-    if not (1 <= e_max_target <= n):
-        raise ValueError(f"e_max_target must lie in [1, n={n}], got {e_max_target}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if profile_shape is ProfileShape.UniformRows:
-        order = np.argsort(rng.random((t, n)), axis=1)[:, :e_max_target]
-        phases = np.exp(2j * np.pi * rng.random((t, e_max_target)))
-        vals = np.zeros((t, n), dtype=np.complex128)
-        np.put_along_axis(vals, order, phases, axis=1)
-        return Signal2D(dims=dims, values=vals)
-    if profile_shape is not ProfileShape.SkewedRows:
-        raise ValueError(f"unknown profile shape {profile_shape!r}")
-
-    levels = _skewed_levels(t, e_max_target)
-    cols = rng.choice(n, size=e_max_target, replace=False)
-    dense_row = int(rng.integers(t))
-    # one column per dyadic level first, extras rotate from the largest coset down
-    mult = [1] * levels
-    for i in range(e_max_target - levels):
-        mult[i % levels] += 1
-    vals = np.zeros((t, n), dtype=np.complex128)
-    y = np.arange(t)
-    col_pos = 0
-    for level, count in enumerate(mult, start=1):
-        step = t >> level                       # frequency offset for this level
-        for _ in range(count):
-            freq = int(rng.integers(t))
-            amp = np.exp(2j * np.pi * rng.random())
-            pair = amp * np.exp(-2j * np.pi * dense_row / (1 << level))
-            wave = (amp * np.exp(2j * np.pi * freq * y / t)
-                    + pair * np.exp(2j * np.pi * ((freq + step) % t) * y / t))
-            vals[:, cols[col_pos]] = wave
-            col_pos += 1
-    return Signal2D(dims=dims, values=vals)
+    return Signal2D(dims=dims, values=_test_signals(dims, e_max_target, [seed], profile_shape)[0])
 
 
 # ----------------------------------------------------------------------------
@@ -252,8 +251,8 @@ def _run_trials(config: ExperimentConfig, seeds: range) -> list:
     if config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep):
         return [TrialRecord(seed, m_max, m_min, 0, False, 0.0) for seed, m_max, m_min in extremes]
 
-    truth = np.array([generate_test_signal(config.dims, config.e_max_target, 2 * seed,
-                                           config.profile_shape).values for seed in seeds])
+    truth = _test_signals(config.dims, config.e_max_target, [2 * seed for seed in seeds],
+                          config.profile_shape)
     b = np.where(masks, 0.0 + 0.0j, _dft(truth, axis=2))
     if config.mode is ExperimentMode.RowRecovery:
         out, ok, residual, *_ = _recover_many(b, masks, _active(truth, None).sum(axis=2), None,

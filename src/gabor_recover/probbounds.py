@@ -15,10 +15,9 @@ keep their exact-math value.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .signal import _strict_float
+from .signal import _positive_int, _strict_float
 
 __all__ = [
     "TailBoundResult",
@@ -38,15 +37,6 @@ def _ceil_snapped(v: float) -> int:
     return math.ceil(v - _SNAP)
 
 
-def _positive_int(value, name: str) -> int:
-    """``value`` as a plain ``int``: an integer, numpy's too, but not a bool, and at least 1."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return int(value)
-
-
 def _validate_n_theta(n: int, theta: float) -> tuple[int, float]:
     """``n`` as a plain ``int`` and ``theta`` as a ``float`` in [0, 1]; else ValueError."""
     n = _positive_int(n, "n")
@@ -54,6 +44,14 @@ def _validate_n_theta(n: int, theta: float) -> tuple[int, float]:
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     return n, theta
+
+
+def _threshold(value, name: str) -> float:
+    """A tail threshold as a ``float``: a number, infinite too, but never NaN; else ValueError."""
+    value = _strict_float(value, name)
+    if math.isnan(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _log_pmf(n: int, j: int, theta: float) -> float:
@@ -71,7 +69,8 @@ def binom_tail_upper(n: int, theta: float, threshold: float) -> float:
     every later term is 0.0 as well and the sum is unchanged.
     """
     n, theta = _validate_n_theta(n, theta)
-    j = _ceil_snapped(threshold)
+    # clamped to [-1, n + 1], an infinite threshold falls on its side of the support
+    j = _ceil_snapped(min(max(_threshold(threshold, "threshold"), -1.0), n + 1.0))
     if j <= 0:
         return 1.0
     if j > n:
@@ -96,7 +95,7 @@ def binom_tail_lower(n: int, theta: float, threshold: float) -> float:
     ``n - X``, as ``ceil(n-c-snap) = n - floor(c+snap)``; it stops early too.
     """
     n, theta = _validate_n_theta(n, theta)
-    return binom_tail_upper(n, 1.0 - theta, n - threshold)
+    return binom_tail_upper(n, 1.0 - theta, n - _threshold(threshold, "threshold"))
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def prob_mmax_below(n: int, t: int, theta: float, c: float) -> float:
     i.e. ``(1 - P(X >= c))**t`` computed as ``exp(t*log1p(-tail))``.
     """
     t = _positive_int(t, "t")
-    tail = binom_tail_upper(n, theta, c)
+    tail = binom_tail_upper(n, theta, _threshold(c, "c"))
     if tail >= 1.0:
         return 0.0
     if tail == 0.0:
@@ -152,7 +151,7 @@ def prob_mmax_below(n: int, t: int, theta: float, c: float) -> float:
 def prob_mmin_below(n: int, t: int, theta: float, c: float) -> float:
     """P(min of t iid Binomial(n, theta) draws < c) = 1 - P(X >= c)**t."""
     t = _positive_int(t, "t")
-    tail = binom_tail_upper(n, theta, c)
+    tail = binom_tail_upper(n, theta, _threshold(c, "c"))
     if tail == 0.0:
         return 1.0
     if tail >= 1.0:

@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import RecoveryProblem
-from .signal import Signal2D, signal_payload
+from .signal import Signal2D, _positive_int, signal_payload
 from .transforms import TransformKind, _dft, _idft
 
 __all__ = [
@@ -495,8 +495,6 @@ def _recover_many(b: np.ndarray, mask: np.ndarray, supports: Optional[np.ndarray
     off rows ``ok``, ``ok``, the residual over them, the row and column
     guarantee flags and whether the column stage ran.
     """
-    if any(c is not None and c < 1 for c in col_maxes or ()):
-        raise ValueError("col_transform_support_max must be a positive integer")
     grids, t, n = mask.shape
     out, converged, resid = l1_recover_many(b.reshape(-1, n), mask.reshape(-1, n),
                                             tol=tol, max_iter=max_iter)
@@ -586,7 +584,9 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     stay consistent with their own surviving observations within ``tol`` or
     they are demoted back to Failed. This is :func:`_recover_many` on one grid.
     """
-    return _report(problem, None, [col_transform_support_max], tol, max_iter)
+    bound = col_transform_support_max
+    bound = None if bound is None else _positive_int(bound, "col_transform_support_max")
+    return _report(problem, None, [bound], tol, max_iter)
 
 
 def report_to_json(report: RecoveryReport) -> str:

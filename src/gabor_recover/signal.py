@@ -77,6 +77,15 @@ def _strict_float(value, name: str) -> float:
     return float(value)
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as a plain ``int``: an integer, numpy's too, but not a bool, and at least 1."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return int(value)
+
+
 @dataclass
 class Signal2D:
     """A dense complex signal on the grid.

@@ -23,7 +23,7 @@ from gabor_recover.experiments import (
 )
 from gabor_recover.probbounds import prob_mmax_below
 from gabor_recover.recovery import RecoveryStage, RowStatus, recover_rows, recover_two_stage
-from gabor_recover.signal import GridDims, column_support_max, support_profile
+from gabor_recover.signal import GridDims, Signal2D, column_support_max, support, support_profile
 from gabor_recover.transforms import gabor_col, gabor_row
 
 
@@ -149,6 +149,40 @@ class TestGenerateTestSignal:
                                    profile_shape=ProfileShape.SkewedRows)
         assert support_profile(sig).e_max == e
         assert column_support_max(gabor_col(sig)) == 2
+
+    # a change in any seed's draw order moves these: positions exactly, values to 1e-12
+    @pytest.mark.parametrize("shape, dims, e_max, seed, frozen", [
+        (ProfileShape.UniformRows, GridDims(n=5, t=3), 2, 11, {
+            (0, 0): -0.47976706429624993 - 0.8773958992476304j,
+            (3, 0): 0.23674071186204312 - 0.9715728667202749j,
+            (1, 1): -0.9969750774599663 - 0.0777219076174427j,
+            (2, 1): 0.4071370780640511 - 0.9133670673203993j,
+            (3, 2): 0.9928178338658701 - 0.11963590079019626j,
+            (4, 2): -0.9528359210080894 - 0.30348592658748774j}),
+        (ProfileShape.SkewedRows, GridDims(n=5, t=4), 3, 7, {
+            (4, 0): 1.3342641459641091 - 0.4687634678541682j,
+            (2, 1): 1.9014662732916383 + 0.6200209766890221j,
+            (3, 1): 1.401301580553858 - 1.4270087176808905j,
+            (4, 2): 0.4687634678541686 + 1.3342641459641096j,
+            (2, 3): -1.9014662732916385 - 0.6200209766890217j,
+            (3, 3): 1.4013015805538578 - 1.4270087176808908j,
+            (4, 3): 1.8030276138182777 + 0.8655006781099406j}),
+    ], ids=["uniform", "skewed"])
+    def test_draws_are_frozen(self, shape, dims, e_max, seed, frozen):
+        sig = generate_test_signal(dims, e_max, seed, shape)
+        assert support(sig) == set(frozen)
+        want = np.zeros((dims.t, dims.n), dtype=complex)
+        for (x, y), value in frozen.items():
+            want[y, x] = value
+        np.testing.assert_allclose(sig.values, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
+    def test_each_seed_is_its_slice_of_the_stack(self, shape):
+        dims, seeds = GridDims(n=12, t=8), [40, 3, 3, 17]
+        stack = experiments._test_signals(dims, 4, seeds, shape)
+        assert stack.shape == (4, 8, 12)
+        for seed, grid in zip(seeds, stack):
+            assert generate_test_signal(dims, 4, seed, shape).values.tobytes() == grid.tobytes()
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -287,6 +321,22 @@ class TestRunExperiment:
                                         float(report.residual)))
         assert records == expected
         assert mode is ExperimentMode.RowRecovery or column_repairs > 0
+
+    @pytest.mark.parametrize("mode", [ExperimentMode.RowRecovery, ExperimentMode.TwoStage])
+    def test_recovery_trials_build_no_signal_objects(self, monkeypatch, mode):
+        built, original = [], Signal2D.__post_init__
+
+        def post_init(signal):
+            built.append(signal.dims)
+            original(signal)
+
+        monkeypatch.setattr(Signal2D, "__post_init__", post_init)
+        cfg = make_config(dims=GridDims(n=16, t=8), theta=0.2, e_max_target=3, trials=12,
+                          mode=mode, profile_shape=ProfileShape.SkewedRows)
+        _, records = run_experiment(cfg)
+        assert len(records) == 12 and built == []
+        generate_test_signal(cfg.dims, 3, 0, ProfileShape.SkewedRows)
+        assert built == [cfg.dims]  # the spy sees the one-seed door
 
     @pytest.mark.parametrize("mode", [ExperimentMode.MmaxSweep, ExperimentMode.MminSweep])
     def test_sweep_records_match_one_pattern_loop(self, monkeypatch, mode):

@@ -88,6 +88,24 @@ class TestBinomTailUpper:
         for k in (True, "0.5", None):
             with pytest.raises(ValueError, match="k must be a number"):
                 lemma_tail_bound(16, 0.1, k)
+        # tail thresholds are numbers too, never NaN, and each failure names its argument
+        for value in (math.nan, np.float64(math.nan), True, np.bool_(True), "3", None):
+            for name, call in (("threshold", lambda: binom_tail_upper(16, 0.1, value)),
+                               ("threshold", lambda: binom_tail_lower(16, 0.1, value)),
+                               ("c", lambda: prob_mmax_below(16, 4, 0.1, value)),
+                               ("c", lambda: prob_mmin_below(16, 4, 0.1, value))):
+                with pytest.raises(ValueError, match=f"^{name} must be a number"):
+                    call()
+
+    def test_infinite_thresholds_fall_outside_the_support(self):
+        # above n the upper tail is 0, at or below 0 it is 1, and the lower tail mirrors it
+        for theta in (0.0, 0.3, 1.0):
+            assert binom_tail_upper(16, theta, math.inf) == 0.0
+            assert binom_tail_upper(16, theta, -math.inf) == 1.0
+            assert binom_tail_lower(16, theta, math.inf) == 1.0
+            assert binom_tail_lower(16, theta, -math.inf) == 0.0
+        assert prob_mmax_below(16, 4, 0.3, math.inf) == prob_mmin_below(16, 4, 0.3, math.inf) == 1.0
+        assert prob_mmax_below(16, 4, 0.3, -math.inf) == prob_mmin_below(16, 4, 0.3, -math.inf) == 0.0
 
     @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint8(10)],
                              ids=lambda n: type(n).__name__)

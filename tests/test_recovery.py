@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gabor_recover import recovery
 from gabor_recover.channel import ErasurePattern, apply_erasure, sample_erasure
+from gabor_recover.experiments import ProfileShape, generate_test_signal
 from gabor_recover.recovery import (
     L1Domain,
     RecoveryProblem,
@@ -943,8 +944,29 @@ class TestRecoverTwoStage:
         dims = GridDims(n=4, t=2)
         sig = sparse_grid_signal(rng, dims, 1)
         prob = apply_erasure(gabor_row(sig), ErasurePattern.from_missing(dims, []))
-        with pytest.raises(ValueError):
-            recover_two_stage(prob, col_transform_support_max=0)
+        # the bound is None or a positive integer, numpy's too, never a bool or a fraction
+        for bad in (0, -1, True, np.bool_(True), 2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="^col_transform_support_max must be "):
+                recover_two_stage(prob, col_transform_support_max=bad)
+        for good in (None, 1, np.int64(2)):
+            assert recover_two_stage(prob, col_transform_support_max=good) == recover_rows(prob)
+
+    # n=4, t=8, theta=0.25, SkewedRows at e_max 3: seed 94 erases a whole row, which only
+    # the column repair restores; seed 26 at a 32-step budget leaves three observed rows
+    # unconverged, and the repair restores them
+    @pytest.mark.parametrize("seed, max_iter", [(94, recovery.DEFAULT_MAX_ITER), (26, 32)],
+                             ids=["whole-row", "observed-rows"])
+    def test_repaired_report_residual_is_its_observed_mismatch(self, seed, max_iter):
+        dims = GridDims(n=4, t=8)
+        sig = generate_test_signal(dims, 3, 2 * seed, ProfileShape.SkewedRows)
+        pattern = sample_erasure(dims, 0.25, 2 * seed + 1)
+        prob = apply_erasure(gabor_row(sig), pattern)
+        failed = [s is RowStatus.Failed for s in recover_rows(prob, max_iter=max_iter).row_status]
+        report = recover_two_stage(prob, max_iter=max_iter)
+        assert report.stage is RecoveryStage.RowThenColumn and any(failed)
+        assert all(s is RowStatus.Recovered for s in report.row_status)
+        mismatch = np.abs(gabor_row(report.recovered).values - prob.observed_values)
+        assert report.residual == mismatch[~pattern.mask].max()
 
 
 class TestReportJson:
