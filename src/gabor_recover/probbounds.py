@@ -143,9 +143,7 @@ def prob_mmax_below(n: int, t: int, theta: float, c: float) -> float:
     tail = binom_tail_upper(n, theta, _threshold(c, "c"))
     if tail >= 1.0:
         return 0.0
-    if tail == 0.0:
-        return 1.0
-    return math.exp(t * math.log1p(-tail))
+    return math.exp(t * math.log1p(-tail))  # exactly 1.0 at a tail of 0.0
 
 
 def prob_mmin_below(n: int, t: int, theta: float, c: float) -> float:

@@ -487,12 +487,12 @@ def _recover_many(b: np.ndarray, mask: np.ndarray, supports: Optional[np.ndarray
                   col_maxes: Optional[list], tol=DEFAULT_FEAS_TOL, max_iter=DEFAULT_MAX_ITER):
     """:func:`recover_rows`, or given ``col_maxes`` :func:`recover_two_stage`, on a stack of grids.
 
-    ``b`` (zero where missing) and ``mask`` are ``(G, t, n)``, ``supports`` the
-    row supports ``(G, t)`` or None, and ``col_maxes`` each grid's column bound
-    (None attempts unbounded) or None for no column stage. All rows share one
-    engine call, and the columns of grids that attempt the repair one more; the
-    engine solves each as it would alone. Returns per grid the signals zeroed
-    off rows ``ok``, ``ok``, the residual over them, the row and column
+    ``b`` (zero where missing) and ``mask`` are ``(G, t, n)``, ``supports`` the row
+    supports ``(G, t)`` or None, and ``col_maxes`` each grid's column bound (at
+    least 1, or None to attempt unbounded) or None for no column stage. All rows
+    share one engine call, and the columns of grids that attempt the repair one
+    more; the engine solves each as it would alone. Returns per grid the signals
+    zeroed off rows ``ok``, ``ok``, the residual over them, the row and column
     guarantee flags and whether the column stage ran.
     """
     grids, t, n = mask.shape
