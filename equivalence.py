@@ -22,12 +22,12 @@ imports that side's ``src/``. Both sides get the same inputs:
 
 A decision is a converged flag, a row status, a guarantee flag, whether a
 report recovered anything, its stage, a draw's support, and every integer,
-boolean, string or empty cell of an artifact. The script prints each side's ``src/`` line count
-(newlines in its ``.py`` files, as ``wc -l`` counts them), the changed
-decisions, the largest drift of any float, and the counts of bit-identical
-engine outputs, byte-identical ``report_to_json`` strings, bit-identical
-draws and byte-identical artifacts. It exits 1 when any decision changed, and 2 when a side fails to
-run.
+boolean, string or empty cell of an artifact. The script prints each side's
+``src/`` line count (newlines in its ``.py`` files, as ``wc -l`` counts
+them), the changed decisions, the largest drift of any float, and the counts
+of bit-identical engine outputs, byte-identical ``report_to_json`` strings,
+bit-identical draws and byte-identical artifacts. It exits 1 when any
+decision changed, and 2 when a side fails to run.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ import numpy as np
 from bench_compare import export
 
 SHORT_BUDGETS = (1, 2, 3, 8, 16)
+GRID_BUDGETS = (1, 2, 3, 8, 16, 100, 1000, 100_000)
 # (n, t, e_max) of the compared test-signal draws; SkewedRows needs t a power of two >= 4
 # and e_max >= log2(t), so each shape suits both profile shapes
 DRAW_SHAPES = ((4, 4, 2), (8, 8, 3), (16, 8, 7), (12, 4, 12), (32, 16, 4), (64, 32, 9))
 DRAW_SEEDS = 200
-GRID_BUDGETS = (1, 2, 3, 8, 16, 100, 1000, 100_000)
 
 # every experiment mode; the two-stage runs reach the column stage, and the
 # tail-bounds runs hold rows with and without a valid bound, n up to 1e5
@@ -234,11 +234,11 @@ def compare_draws(base: Path, head: Path, tally: Tally) -> str:
     with np.load(base / "draws.npz") as b, np.load(head / "draws.npz") as h:
         identical = 0
         for key in b.files:
-            tally.float_drift(b[key], h[key])
-            identical += sum(x.tobytes() == y.tobytes() for x, y in zip(b[key], h[key]))
+            bk, hk = b[key], h[key]
+            tally.float_drift(bk, hk)
+            identical += sum(x.tobytes() == y.tobytes() for x, y in zip(bk, hk))
             # a draw's support is a decision; its entries are of modulus about 1
-            active = [np.abs(side[key]) > 1e-9 for side in (b, h)]
-            moved = np.flatnonzero((active[0] != active[1]).any(axis=(1, 2)))
+            moved = np.flatnonzero(((np.abs(bk) > 1e-9) != (np.abs(hk) > 1e-9)).any(axis=(1, 2)))
             tally.changed += [f"draw {key} seed {seed}: support" for seed in moved]
     return (f"draws: {identical}/{len(b.files) * DRAW_SEEDS} bit-identical "
             f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes)")

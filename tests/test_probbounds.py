@@ -104,8 +104,9 @@ class TestBinomTailUpper:
             assert binom_tail_upper(16, theta, -math.inf) == 1.0
             assert binom_tail_lower(16, theta, math.inf) == 1.0
             assert binom_tail_lower(16, theta, -math.inf) == 0.0
-        assert prob_mmax_below(16, 4, 0.3, math.inf) == prob_mmin_below(16, 4, 0.3, math.inf) == 1.0
-        assert prob_mmax_below(16, 4, 0.3, -math.inf) == prob_mmin_below(16, 4, 0.3, -math.inf) == 0.0
+        for below in (prob_mmax_below, prob_mmin_below):
+            assert below(16, 4, 0.3, math.inf) == 1.0
+            assert below(16, 4, 0.3, -math.inf) == 0.0
 
     @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint8(10)],
                              ids=lambda n: type(n).__name__)
