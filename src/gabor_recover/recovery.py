@@ -41,6 +41,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channel import RecoveryProblem
 from .signal import Signal2D, _positive_int, signal_payload
@@ -125,8 +126,10 @@ def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
 
     ``spec`` is the Hermitian part of each observed mask's FFT over ``n``, so
     Gram entry ``(i, j)`` is ``spec[(s_j - s_i) mod n]``. Rows of one support
-    size solve as stacks of at most ``_GRAM_ENTRIES`` entries. ``ok`` is False
-    (``x`` zero) where the Gram fails Cholesky (the full-rank test) or solve.
+    size factor and solve as stacks of at most ``_GRAM_ENTRIES`` entries, each
+    Gram by its own LAPACK call, so a failed one costs its neighbours nothing.
+    ``ok`` is False (``x`` zero) where the Gram fails Cholesky (the full-rank
+    test) or solve, which numpy's gufuncs flag per matrix with NaN.
     """
     x = np.zeros(S.shape, dtype=np.complex128)
     ok = np.ones(len(S), dtype=bool)
@@ -137,13 +140,12 @@ def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
         for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
             sup = np.nonzero(S[rows])[1].reshape(rows.size, s)
             G = spec[rows[:, None, None], (sup[:, None, :] - sup[:, :, None]) % S.shape[1]]
-            try:
-                np.linalg.cholesky(G)
-                x[rows[:, None], sup] = np.linalg.solve(G, rhs[rows[:, None], sup, None])[..., 0]
-            except np.linalg.LinAlgError:  # bisect, so one such row costs its neighbours nothing
-                ok[rows] = False
-                for half in np.array_split(rows, 2) if rows.size > 1 else ():
-                    x[half], ok[half] = _normal_solve(S[half], rhs[half], spec[half])
+            with np.errstate(invalid="ignore"):
+                factor = _umath_linalg.cholesky_lo(G, signature="D->D")
+                sol = _umath_linalg.solve1(G, rhs[rows[:, None], sup], signature="DD->D")
+            good = ~(np.isnan(factor).any(axis=(1, 2)) | np.isnan(sol).any(axis=1))
+            x[rows[good, None], sup[good]] = sol[good]
+            ok[rows] = good
     return x, ok
 
 
