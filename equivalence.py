@@ -24,10 +24,13 @@ A decision is a converged flag, a row status, a guarantee flag, whether a
 report recovered anything, its stage, a draw's support, and every integer,
 boolean, string or empty cell of an artifact. The script prints each side's
 ``src/`` line count (newlines in its ``.py`` files, as ``wc -l`` counts
-them), the changed decisions, the largest drift of any float, and the counts
-of bit-identical engine outputs, byte-identical ``report_to_json`` strings,
-bit-identical draws and byte-identical artifacts. It exits 1 when any
-decision changed, and 2 when a side fails to run.
+them), the largest drift of any float, the counts of bit-identical engine
+outputs, byte-identical ``report_to_json`` strings, bit-identical draws and
+byte-identical artifacts, and every changed decision. An engine or grid
+change names its ``max_iter`` and its direction: a converged flag comes with
+the head's relative error against the planted signal, and a row status with
+its counts of Failed->Recovered and Recovered->Failed rows. It exits 1 when
+any decision changed, and 2 when a side fails to run.
 """
 
 from __future__ import annotations
@@ -111,6 +114,9 @@ def _engine_batches(count: int, out: Path) -> None:
         sols, conv, resid = l1_recover_many(np.where(masks, 0, data), masks, domain,
                                             max_iter=max_iter)
         arrays[f"sols{k}"], arrays[f"conv{k}"], arrays[f"resid{k}"] = sols, conv, resid
+        # the planted signal (the data itself when the sparse vector is its spectrum)
+        arrays[f"truth{k}"] = sparse if domain is L1Domain.MinimizeSignalL1 else data
+        arrays[f"budget{k}"] = max_iter
     np.savez(out / "engine.npz", **arrays)
 
 
@@ -136,7 +142,7 @@ def _grids(count: int, out: Path) -> None:
         reports = (recover_rows(problem, profile=profile, max_iter=max_iter),
                    recover_two_stage(problem, col_transform_support_max=bound,
                                      max_iter=max_iter))
-        records.append([{"json": report_to_json(r),
+        records.append([{"json": report_to_json(r), "max_iter": max_iter,
                          "guarantee": [bool(g) for g in r.guarantee_held]} for r in reports])
     (out / "grids.json").write_text(json.dumps(records))
 
@@ -198,8 +204,13 @@ def compare_engine(base: Path, head: Path, count: int, tally: Tally) -> str:
         for k in range(count):
             keys = [f"sols{k}", f"conv{k}", f"resid{k}"]
             rows += b[keys[1]].size
-            flips = np.flatnonzero(b[keys[1]] != h[keys[1]])
-            tally.changed += [f"engine batch {k} row {r}: converged flag" for r in flips]
+            truth = h[f"truth{k}"]
+            for r in np.flatnonzero(b[keys[1]] != h[keys[1]]):
+                err = np.linalg.norm(h[keys[0]][r] - truth[r]) / np.linalg.norm(truth[r])
+                tally.changed.append(
+                    f"engine batch {k} row {r} (n={truth.shape[1]}, max_iter={h[f'budget{k}']}):"
+                    f" converged flag {b[keys[1]][r]}->{h[keys[1]][r]},"
+                    f" head error against the planted signal {err:.2g}")
             tally.float_drift(b[keys[0]], h[keys[0]])
             tally.float_drift(b[keys[2]], h[keys[2]])
             identical += all(b[key].tobytes() == h[key].tobytes() for key in keys)
@@ -215,13 +226,18 @@ def compare_grids(base: Path, head: Path, tally: Tally) -> str:
             identical += b["json"] == h["json"]
             rb, rh = json.loads(b["json"]), json.loads(h["json"])
             column_stage += which == "recover_two_stage" and rh["stage"] == "RowThenColumn"
-            for field in ("stage", "row_status"):
-                if rb[field] != rh[field]:
-                    tally.changed.append(f"grid {k} {which}: {field}")
+            where = f"grid {k} {which} (max_iter={h['max_iter']})"
+            if rb["stage"] != rh["stage"]:
+                tally.changed.append(f"{where}: stage {rb['stage']}->{rh['stage']}")
+            if rb["row_status"] != rh["row_status"]:
+                moves = list(zip(rb["row_status"], rh["row_status"]))
+                tally.changed.append(
+                    f"{where}: row status, {moves.count(('Failed', 'Recovered'))} "
+                    f"Failed->Recovered, {moves.count(('Recovered', 'Failed'))} Recovered->Failed")
             if b["guarantee"] != h["guarantee"]:
-                tally.changed.append(f"grid {k} {which}: guarantee flags")
+                tally.changed.append(f"{where}: guarantee flags {b['guarantee']}->{h['guarantee']}")
             if (rb["recovered"] is None) != (rh["recovered"] is None):
-                tally.changed.append(f"grid {k} {which}: recovered None")
+                tally.changed.append(f"{where}: recovered None")
             elif rb["recovered"] is not None:
                 for part in ("re", "im"):
                     tally.float_drift(rb["recovered"][part], rh["recovered"][part])
@@ -352,7 +368,7 @@ def main() -> int:
         print(compare_artifacts(base, head, tally))
     print(f"max float drift: {tally.drift:.3g}")
     print(f"changed decisions: {len(tally.changed)}")
-    for line in tally.changed[:50]:
+    for line in tally.changed:
         print(f"  {line}")
     return 1 if tally.changed else 0
 

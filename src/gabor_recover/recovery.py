@@ -203,15 +203,18 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
     return took, sols, resid
 
 
+def _shrink(z: np.ndarray, scale: np.ndarray):
+    """``z`` soft-thresholded at a quarter of each row's ``scale``."""
+    return z * np.maximum(1.0 - 0.25 * scale[:, None] / np.maximum(np.abs(z), 1e-300), 0.0)
+
+
 def _dr_step(z: np.ndarray, scale: np.ndarray, b: np.ndarray, obs: np.ndarray):
     """One Douglas-Rachford step from ``z``; returns ``(x, y)``.
 
-    ``x`` is ``z`` soft-thresholded at a quarter of each row's ``scale``, and
-    ``y`` the projection of its reflection ``2x - z`` onto the observed
-    constraints.
+    ``x`` is :func:`_shrink` of ``z``, and ``y`` the projection of its
+    reflection ``2x - z`` onto the observed constraints.
     """
-    mag = np.abs(z)
-    x = z * np.maximum(1.0 - 0.25 * scale[:, None] / np.maximum(mag, 1e-300), 0.0)
+    x = _shrink(z, scale)
     aw = _dft(2.0 * x - z)
     np.copyto(aw, b, where=obs)
     return x, _idft(aw)
@@ -264,19 +267,13 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     z, bb, oo, sc = z0[orig], b[orig], obs[orig], scale[orig]
     feas = tol * np.maximum(1.0, np.abs(bb).max(axis=1))
 
-    it = 0
-    check_every = 8
-    while orig.size and it < max_iter:
-        steps = min(check_every, max_iter - it)
-        for _ in range(steps):
-            x, y = _dr_step(z, sc, bb, oo)
-            dz = y - x
-            z += dz
-        it += steps
-
-        delta = np.abs(dz).max(axis=1)
+    # the first check comes before any step: every row is a candidate, on the iterate
+    # a step would form from z0, and none has settled, since nothing has moved
+    it, check_every = 0, 8
+    x, delta = _shrink(z, sc), np.full(orig.size, np.inf)
+    while orig.size:
         done = np.zeros(orig.size, dtype=bool)
-        cand = np.nonzero((delta < 0.3 * sc) | (it >= max_iter))[0]
+        cand = np.nonzero((delta < 0.3 * sc) | (it == 0) | (it >= max_iter))[0]
         for lo in range(0, cand.size, _POLISH_CHUNK):
             i = cand[lo:lo + _POLISH_CHUNK]
             mag = np.abs(x[i])
@@ -296,6 +293,15 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
             iters[orig[done]] = it
             keep = ~done
             orig, z, bb, oo, sc, feas = (a[keep] for a in (orig, z, bb, oo, sc, feas))
+        if it >= max_iter or not orig.size:
+            break
+        steps = min(check_every, max_iter - it)
+        for _ in range(steps):
+            x, y = _dr_step(z, sc, bb, oo)
+            dz = y - x
+            z += dz
+        it += steps
+        delta = np.abs(dz).max(axis=1)
 
     # budget exhausted: report a final feasible iterate without claiming convergence
     if orig.size:

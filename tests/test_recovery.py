@@ -272,6 +272,20 @@ class TestL1Recover1d:
         assert got is not None
         assert np.linalg.norm(got - sig) / np.linalg.norm(sig) < 1e-6
 
+    def test_zero_budget_returns_only_what_the_first_polish_certifies(self):
+        # the polish before any step is not an iteration, so it runs at max_iter=0;
+        # both rows are Donoho-Stark certified, and the budget decides the second
+        n = 16
+        polished, rejected = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        polished[[3, 12]] = [1.0 - 0.5j, 0.6 + 0.2j]
+        rejected[[7, 10]] = [-0.846 + 0.629j, 0.157 + 0.009j]
+        for sig, missing in ((polished, {1, 6, 11}), (rejected, {0})):
+            assert ds_condition(np.count_nonzero(sig), len(missing), n)
+        got = l1_recover_1d(freq_map(polished, {1, 6, 11}), {1, 6, 11}, n, max_iter=0)
+        assert np.allclose(got, polished, atol=1e-12)
+        assert l1_recover_1d(freq_map(rejected, {0}), {0}, n, max_iter=0) is None
+        assert np.allclose(l1_recover_1d(freq_map(rejected, {0}), {0}, n), rejected, atol=1e-12)
+
     def test_ambiguous_extremal_instance(self):
         # support {0,2} with spectrum missing at {0,2}: the comb 1,0,1,0 has
         # zero observed spectrum, so the zero signal beats it in L1 norm
@@ -400,7 +414,7 @@ class TestL1RecoverMany:
         assert peak < 8 * 2**20
 
     def test_support_past_the_gram_stack_cap_polishes(self):
-        # one step leaves the iterate on all 380 entries of a dense +-1 vector,
+        # the polish before any step sees all 380 entries of a dense +-1 vector,
         # and a 380x380 Gram alone exceeds the entries stacked per solve
         rng = np.random.default_rng(0)
         n = 400
@@ -409,7 +423,7 @@ class TestL1RecoverMany:
         masks = np.zeros((1, n), dtype=bool)
         masks[0, 0] = True  # the data is 0 there, so the signs certify the vector
         assert 380**2 > recovery._GRAM_ENTRIES
-        sols, conv, _ = l1_recover_many(row_spectrum(dense)[None], masks, max_iter=1)
+        sols, conv, _ = l1_recover_many(row_spectrum(dense)[None], masks, max_iter=0)
         assert conv[0]
         assert np.allclose(sols[0], dense, atol=1e-9)
 
@@ -558,7 +572,7 @@ class TestPolish:
     def test_rank_deficient_gram_leaves_its_group_polishing(self):
         # at n=10 the even columns repeat with period 5 over the rows, so
         # observing all but rows 0 and 5 leaves the middle row's five support
-        # columns rank 4; its stacked solve raises for the whole group
+        # columns rank 4; its Gram is flagged alone, and the rest of its stack polishes
         n = 10
         rng = np.random.default_rng(0)
         rows = [((0, 1, 2, 3, 4), (0, 5)), ((0, 2, 4, 6, 8), (0, 5)), ((0, 1, 2, 3, 5), (1, 3))]
@@ -572,6 +586,57 @@ class TestPolish:
         assert took.tolist() == [True, False, True]
         assert np.allclose(sols[took], planted[took], atol=1e-12)
         assert not sols[1].any()
+
+    def test_normal_solve_flags_each_gram_alone(self, monkeypatch):
+        # one stack of five-entry supports at n=10: good Grams around the rank-4 one
+        # above and a Hermitian Gram -I that fails Cholesky though it solves; a second
+        # stack holds a three-entry support
+        n = 10
+        rows = [((0, 1, 2, 3, 4), (0, 5)), ((0, 2, 4, 6, 8), (0, 5)), ((0, 1, 2, 3, 5), (1, 3)),
+                ((1, 3, 5, 7, 9), (2,)), ((2, 4, 7), (0, 9)), ((0, 1, 3, 6, 8), (4, 7))]
+        S = np.zeros((len(rows), n), dtype=bool)
+        obs = np.ones((len(rows), n), dtype=bool)
+        for k, (supp, miss) in enumerate(rows):
+            S[k, list(supp)], obs[k, list(miss)] = True, False
+        spec = np.fft.fft(obs, axis=1)
+        spec = (spec + spec[:, -np.arange(n) % n].conj()) / (2 * n)
+        spec[3] = 0.0
+        spec[3, 0] = -1.0
+        rng = np.random.default_rng(1)
+        rhs = rng.normal(size=S.shape) + 1j * rng.normal(size=S.shape)
+        real_solve, calls = recovery._normal_solve, []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return real_solve(*args)
+
+        monkeypatch.setattr(recovery, "_normal_solve", spy)
+        x, ok = recovery._normal_solve(S, rhs, spec)
+        assert calls == [len(rows)]  # no retry on a failed Gram
+        assert ok.tolist() == [True, False, True, False, True, True]
+        assert not x[~ok].any() and not x[~S].any()
+        for k in range(len(rows)):
+            alone = real_solve(S[k:k + 1], rhs[k:k + 1], spec[k:k + 1])
+            assert alone[1][0] == ok[k] and alone[0][0].tobytes() == x[k].tobytes()
+        dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
+        for k in np.flatnonzero(ok):
+            A = dft[np.ix_(obs[k], S[k])]
+            assert np.allclose(A.conj().T @ A @ x[k, S[k]], rhs[k, S[k]], atol=1e-12)
+
+    def test_first_check_comes_before_any_step(self):
+        # a Donoho-Stark certified row is polished on its zero-filled inverse and
+        # leaves at iteration 0; a row that polish rejects runs the 8-step blocks
+        n = 16
+        planted = np.zeros((2, n), dtype=complex)
+        planted[0, [3, 12]] = [1.0 - 0.5j, 0.6 + 0.2j]
+        planted[1, [7, 10]] = [-0.846 + 0.629j, 0.157 + 0.009j]
+        masks = np.zeros((2, n), dtype=bool)
+        masks[0, [1, 6, 11]], masks[1, 0] = True, True
+        assert ds_condition(np.array([2, 2]), masks.sum(axis=1), n).all()
+        sols, conv, _, iters = recovery._solve_l1_batch(
+            np.where(masks, 0, row_spectrum_many(planted)), masks)
+        assert conv.all() and iters.tolist() == [0, 8]
+        assert np.allclose(sols, planted, atol=1e-12)
 
     def test_exactly_dependent_support_is_not_certified(self):
         # on the odd rows of n=8, column 7 is minus column 3; a rank cutoff of
@@ -718,19 +783,26 @@ class TestRecoverRows:
         with pytest.raises(ValueError, match="profile row count"):
             recover_rows(prob, profile=short)
 
-    # at max_iter=3 the column stage of this grid repairs rows 1, 3 and 4,
-    # whose repairs miss their own observations and must be demoted
-    @pytest.mark.parametrize(
-        "recover",
-        [recover_rows, lambda prob: recover_two_stage(prob, max_iter=3)],
-        ids=["recover_rows", "recover_two_stage"],
-    )
-    def test_feasibility_of_reported_rows(self, rng, recover):
+    # at max_iter=3 the row stage of this grid leaves rows 1, 3 and 4 unconverged and
+    # every column converges, so the column stage repairs all three; the repairs miss
+    # their own observations and must be demoted
+    @pytest.mark.parametrize("two_stage", [False, True], ids=["recover_rows", "recover_two_stage"])
+    def test_feasibility_of_reported_rows(self, rng, monkeypatch, two_stage):
         dims = GridDims(n=16, t=5)
         sig = sparse_grid_signal(rng, dims, 2)
-        pat = sample_erasure(dims, 0.2, seed=103)
+        pat = sample_erasure(dims, 0.35, seed=103)
         prob = apply_erasure(gabor_row(sig), pat)
-        report = recover(prob)
+        solves = []
+
+        def spy(*args, **kwargs):
+            solves.append(l1_recover_many(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(recovery, "l1_recover_many", spy)
+        report = recover_two_stage(prob, max_iter=3) if two_stage else recover_rows(prob)
+        if two_stage:
+            (_, row_conv, _), (_, col_conv, _) = solves
+            assert (~row_conv).tolist() == [False, True, False, True, True] and col_conv.all()
         got = gabor_row(report.recovered).values if report.recovered else None
         for y, status in enumerate(report.row_status):
             if status is not RowStatus.Recovered:
