@@ -15,12 +15,13 @@ One engine solves both orientations. It works on the signal side only, and
 soft threshold. The engine is Douglas-Rachford splitting: alternating complex
 soft-thresholding with projection onto the affine constraint set (one
 forward/inverse FFT pair per iteration, since the constraint operator is
-unitary). A support-identification polish runs alongside: least-squares on
-the detected support, accepted only when the result is feasible and a dual
-vector certifies L1 optimality. It builds no DFT matrix: Grams come off the FFT
-of each observed mask and solve stacked by support size, with no dense fallback
-(DR keeps a row whose Gram fails), and the duals take one FFT pair. The engine
-solves independent instances at once, each exactly as it would alone.
+unitary). A support-identification polish runs before the first step and at
+every check: least-squares on the detected support, accepted only when the
+result is feasible and a dual vector certifies L1 optimality. It builds no DFT
+matrix: Grams come off the FFT of each observed mask and solve stacked by
+support size, each flagged alone when it fails, with no dense fallback (DR
+keeps such a row), and the duals take one FFT pair. The engine solves
+independent instances at once, each exactly as it would alone.
 
 Row-wise recovery applies the solve to each row of a grid independently,
 optionally certifying rows through the product condition
@@ -235,6 +236,11 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     non-negative integer. Returns ``(signals, converged, residuals,
     iterations)``: per row, the signal of least L1 norm matching the
     observations, and the max-modulus constraint mismatch.
+
+    The first check comes at iteration 0, before any DR step, and runs at
+    every budget: every row is polished on ``z0`` soft-thresholded as a step
+    would, and the rows it takes report 0 iterations. The others run 8-step
+    blocks from the untouched ``z0``, with a check after each.
     """
     missing = np.asarray(missing_mask, dtype=bool)
     vals = np.asarray(values, dtype=np.complex128)
@@ -267,8 +273,8 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     z, bb, oo, sc = z0[orig], b[orig], obs[orig], scale[orig]
     feas = tol * np.maximum(1.0, np.abs(bb).max(axis=1))
 
-    # the first check comes before any step: every row is a candidate, on the iterate
-    # a step would form from z0, and none has settled, since nothing has moved
+    # the first check polishes every row on the iterate a step would form from z0;
+    # nothing has moved yet, so nothing settles there
     it, check_every = 0, 8
     x, delta = _shrink(z, sc), np.full(orig.size, np.inf)
     while orig.size:
@@ -325,7 +331,9 @@ def l1_recover_1d(observed, missing, n: int, domain: L1Domain = L1Domain.Minimiz
     transform-side (the surviving spectrum of an unknown signal); for
     ``MinimizeFreqL1`` they are signal-side samples and the spectrum's L1
     norm is minimized. Returns the recovered signal as ``n`` complex values,
-    or None when the iteration budget runs out before convergence.
+    or None when the iteration budget runs out before convergence. The
+    polish before the first step is not an iteration, so at ``max_iter=0``
+    this is the row that polish certifies, or None where it does not.
     """
     if n < 1:
         raise ValueError("n must be positive")
