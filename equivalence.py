@@ -26,11 +26,13 @@ boolean, string or empty cell of an artifact. The script prints each side's
 ``src/`` line count (newlines in its ``.py`` files, as ``wc -l`` counts
 them), the largest drift of any float, the counts of bit-identical engine
 outputs, byte-identical ``report_to_json`` strings, bit-identical draws and
-byte-identical artifacts, and every changed decision. An engine or grid
-change names its ``max_iter`` and its direction: a converged flag comes with
-the head's relative error against the planted signal, and a row status with
-its counts of Failed->Recovered and Recovered->Failed rows. It exits 1 when
-any decision changed, and 2 when a side fails to run.
+byte-identical artifacts, every changed decision, and every engine batch or
+grid report whose bytes differ with no decision changed, with its largest
+drift. An engine or grid change names its ``max_iter`` and its direction: a
+converged flag comes with the head's relative error against the planted
+signal, and a row status with its counts of Failed->Recovered and
+Recovered->Failed rows. It exits 1 when any decision changed, and 2 when a
+side fails to run.
 """
 
 from __future__ import annotations
@@ -191,11 +193,13 @@ def collect(out: Path, batches: int, grids: int) -> None:
 class Tally:
     def __init__(self):
         self.changed = []
+        self.drifted = []  # outputs whose bytes differ with no decision changed
         self.drift = 0.0
 
-    def float_drift(self, a, b) -> None:
-        self.drift = max(self.drift, float(np.max(np.abs(np.asarray(a) - np.asarray(b)),
-                                                  initial=0.0)))
+    def float_drift(self, a, b) -> float:
+        drift = float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0))
+        self.drift = max(self.drift, drift)
+        return drift
 
 
 def compare_engine(base: Path, head: Path, count: int, tally: Tally) -> str:
@@ -204,16 +208,20 @@ def compare_engine(base: Path, head: Path, count: int, tally: Tally) -> str:
         for k in range(count):
             keys = [f"sols{k}", f"conv{k}", f"resid{k}"]
             rows += b[keys[1]].size
-            truth = h[f"truth{k}"]
-            for r in np.flatnonzero(b[keys[1]] != h[keys[1]]):
+            truth, flips = h[f"truth{k}"], np.flatnonzero(b[keys[1]] != h[keys[1]])
+            for r in flips:
                 err = np.linalg.norm(h[keys[0]][r] - truth[r]) / np.linalg.norm(truth[r])
                 tally.changed.append(
                     f"engine batch {k} row {r} (n={truth.shape[1]}, max_iter={h[f'budget{k}']}):"
                     f" converged flag {b[keys[1]][r]}->{h[keys[1]][r]},"
                     f" head error against the planted signal {err:.2g}")
-            tally.float_drift(b[keys[0]], h[keys[0]])
-            tally.float_drift(b[keys[2]], h[keys[2]])
-            identical += all(b[key].tobytes() == h[key].tobytes() for key in keys)
+            drift = max(tally.float_drift(b[keys[0]], h[keys[0]]),
+                        tally.float_drift(b[keys[2]], h[keys[2]]))
+            same = all(b[key].tobytes() == h[key].tobytes() for key in keys)
+            identical += same
+            if not (same or flips.size):
+                tally.drifted.append(f"engine batch {k} (max_iter={h[f'budget{k}']}): "
+                                     f"max drift {drift:.2g}")
     return f"engine: {identical}/{count} batches bit-identical ({rows} rows)"
 
 
@@ -226,7 +234,7 @@ def compare_grids(base: Path, head: Path, tally: Tally) -> str:
             identical += b["json"] == h["json"]
             rb, rh = json.loads(b["json"]), json.loads(h["json"])
             column_stage += which == "recover_two_stage" and rh["stage"] == "RowThenColumn"
-            where = f"grid {k} {which} (max_iter={h['max_iter']})"
+            where, changed = f"grid {k} {which} (max_iter={h['max_iter']})", len(tally.changed)
             if rb["stage"] != rh["stage"]:
                 tally.changed.append(f"{where}: stage {rb['stage']}->{rh['stage']}")
             if rb["row_status"] != rh["row_status"]:
@@ -238,10 +246,13 @@ def compare_grids(base: Path, head: Path, tally: Tally) -> str:
                 tally.changed.append(f"{where}: guarantee flags {b['guarantee']}->{h['guarantee']}")
             if (rb["recovered"] is None) != (rh["recovered"] is None):
                 tally.changed.append(f"{where}: recovered None")
-            elif rb["recovered"] is not None:
+            drift = tally.float_drift(rb["residual"], rh["residual"])
+            if rb["recovered"] is not None and rh["recovered"] is not None:
                 for part in ("re", "im"):
-                    tally.float_drift(rb["recovered"][part], rh["recovered"][part])
-            tally.float_drift(rb["residual"], rh["residual"])
+                    drift = max(drift, tally.float_drift(rb["recovered"][part],
+                                                         rh["recovered"][part]))
+            if b["json"] != h["json"] and len(tally.changed) == changed:
+                tally.drifted.append(f"{where}: max drift {drift:.2g}")
     return (f"grids: {identical}/{2 * len(b_all)} reports byte-identical "
             f"({len(b_all)} grids, {column_stage} reaching the column stage)")
 
@@ -369,6 +380,9 @@ def main() -> int:
     print(f"max float drift: {tally.drift:.3g}")
     print(f"changed decisions: {len(tally.changed)}")
     for line in tally.changed:
+        print(f"  {line}")
+    print(f"outputs differing in floats only: {len(tally.drifted)}")
+    for line in tally.drifted:
         print(f"  {line}")
     return 1 if tally.changed else 0
 
