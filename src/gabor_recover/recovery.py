@@ -235,7 +235,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     ``n >= 1``. ``tol`` must be positive and finite, and ``max_iter`` a
     non-negative integer. Returns ``(signals, converged, residuals,
     iterations)``: per row, the signal of least L1 norm matching the
-    observations, and the max-modulus constraint mismatch.
+    observations, and its max-modulus mismatch there (a fully observed row's too).
 
     The first check comes at iteration 0, before any DR step, and runs at
     every budget: every row is polished on ``z0`` soft-thresholded as a step
@@ -267,6 +267,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     sols = np.zeros((B, n), dtype=np.complex128)
     sols[full] = z0[full]
     resid = np.zeros(B, dtype=float)
+    resid[full] = _observed_residual(z0[full], b[full], obs[full])
     iters = np.zeros(B, dtype=int)
 
     orig = np.nonzero(~conv)[0]
@@ -363,7 +364,8 @@ def l1_recover_many(values: np.ndarray, missing_mask: np.ndarray,
 
     Each row of ``values``/``missing_mask`` is one instance; per-row results
     match the scalar op exactly (the scalar op is this engine with B=1).
-    Returns ``(signals, converged, residuals)``.
+    Returns ``(signals, converged, residuals)``, each residual the returned row's
+    max-modulus observed mismatch (a fully observed row's too, not 0).
 
     This is the one caller of the signal-side engine. ``MinimizeFreqL1`` is
     the conjugate of ``MinimizeSignalL1``: the unitary DFT is symmetric, so
@@ -508,8 +510,8 @@ def _recover_many(b: np.ndarray, mask: np.ndarray, supports: Optional[np.ndarray
     least 1, or None to attempt unbounded) or None for no column stage. All rows
     share one engine call, and the columns of grids that attempt the repair one
     more; the engine solves each as it would alone. Returns per grid the signals
-    zeroed off rows ``ok``, ``ok``, the residual over them, the row and column
-    guarantee flags and whether the column stage ran.
+    zeroed off rows ``ok``, ``ok``, their max residual (the engine's, recomputed where
+    columns replaced rows), both guarantee flags and whether the column stage ran.
     """
     grids, t, n = mask.shape
     out, converged, resid = l1_recover_many(b.reshape(-1, n), mask.reshape(-1, n),
@@ -522,32 +524,29 @@ def _recover_many(b: np.ndarray, mask: np.ndarray, supports: Optional[np.ndarray
         cert |= ds_condition(supports, m_counts, n)
         row_ok &= cert
     row_guarantee = ~(row_ok & ~cert).any(axis=1)
-    if col_maxes is None:
-        out[~row_ok] = 0.0
-        residual = np.where(row_ok, resid, 0.0).max(axis=1)
-        return out, row_ok, residual, row_guarantee, *np.zeros((2, grids), dtype=bool)
-
-    bounded = np.array([c is not None for c in col_maxes], dtype=bool)
-    bounds = np.array([0 if c is None else c for c in col_maxes])
-    certified = bounded & ds_condition((~row_ok).sum(axis=1), bounds, t)
-    # each grid's columns share its missing rows: solve the columns of every attempting
-    # grid at once, and repair a grid's failed rows only if all of its columns converged
-    column_stage = ~row_ok.all(axis=1)
-    i = np.flatnonzero((certified | ~bounded) & row_ok.any(axis=1) & column_stage)
+    certified = column_stage = np.zeros(grids, dtype=bool)
     repaired = np.zeros_like(row_ok)
-    if i.size:
-        cols, conv, _ = l1_recover_many(out[i].transpose(0, 2, 1).reshape(-1, t),
-                                        np.repeat(~row_ok[i], n, axis=0),
-                                        L1Domain.MinimizeFreqL1, tol, max_iter)
-        repaired[i] = ~row_ok[i] & conv.reshape(-1, n).all(axis=1)[:, None]
-        out[i] = np.where(repaired[i, :, None], cols.reshape(-1, n, t).swapaxes(1, 2), out[i])
+    if col_maxes is not None:
+        bounded = np.array([c is not None for c in col_maxes], dtype=bool)
+        bounds = np.array([0 if c is None else c for c in col_maxes])
+        certified = bounded & ds_condition((~row_ok).sum(axis=1), bounds, t)
+        # each grid's columns share its missing rows: solve the columns of every attempting
+        # grid at once, and repair a grid's failed rows only if all of its columns converged
+        column_stage = ~row_ok.all(axis=1)
+        i = np.flatnonzero((certified | ~bounded) & row_ok.any(axis=1) & column_stage)
+        if i.size:
+            cols, conv, _ = l1_recover_many(out[i].transpose(0, 2, 1).reshape(-1, t),
+                                            np.repeat(~row_ok[i], n, axis=0),
+                                            L1Domain.MinimizeFreqL1, tol, max_iter)
+            repaired[i] = ~row_ok[i] & conv.reshape(-1, n).all(axis=1)[:, None]
+            out[i] = np.where(repaired[i, :, None], cols.reshape(-1, n, t).swapaxes(1, 2), out[i])
+            resid[i] = _observed_residual(out[i], b[i], ~mask[i])
 
-    # repaired rows must match their own observations; every row's residual is against them
-    row_err = _observed_residual(out, b, ~mask)
-    demoted = repaired & (row_err > tol * np.maximum(1.0, np.abs(b).max(axis=2)))
+    # repaired rows must match their own observations
+    demoted = repaired & (resid > tol * np.maximum(1.0, np.abs(b).max(axis=2)))
     ok = row_ok | (repaired & ~demoted)
     out[~ok] = 0.0
-    residual = np.where(ok, np.where(column_stage[:, None], row_err, resid), 0.0).max(axis=1)
+    residual = np.where(ok, resid, 0.0).max(axis=1)
     return out, ok, residual, row_guarantee, certified & ~demoted.any(axis=1), column_stage
 
 

@@ -387,6 +387,18 @@ class TestL1RecoverMany:
         with pytest.raises(ValueError, match=f"^{name} "):
             l1_recover_many(np.ones((1, 4), dtype=complex), masks, **bad)
 
+    @BOTH_DOMAINS
+    def test_fully_observed_rows_report_their_mismatch(self, domain):
+        # a fully observed row inverts directly and misses its data by rounding, not by 0
+        n = 8
+        _, masks, data = planted_batch(5, n, domain)
+        masks[[0, 3]] = False
+        sols, conv, resid = l1_recover_many(np.where(masks, 0, data), masks, domain)
+        transform = row_spectrum_many(sols) if domain is L1Domain.MinimizeSignalL1 else sols
+        mismatch = np.where(masks, 0.0, np.abs(transform - data)).max(axis=1)
+        assert conv[[0, 3]].all() and (mismatch[[0, 3]] > 0).any()
+        assert resid[[0, 3]].tobytes() == mismatch[[0, 3]].tobytes()
+
     def test_rejects_zero_width_rows(self):
         with pytest.raises(ValueError, match="width n"):
             l1_recover_many(np.ones((1, 0), dtype=complex), np.zeros((1, 0), dtype=bool))
@@ -720,7 +732,9 @@ class TestRecoverRows:
         assert report.stage is RecoveryStage.RowOnly
         assert all(s is RowStatus.Recovered for s in report.row_status)
         assert report.guarantee_held == (True,)
-        assert report.residual == 0.0
+        # each row inverts directly and misses its data by rounding only
+        mismatch = np.abs(gabor_row(report.recovered).values - transform.values)
+        assert report.residual == mismatch.max()
         assert np.allclose(report.recovered.values,
                            gabor_row_inverse(transform).values, atol=1e-12)
         assert np.allclose(report.recovered.values, sig.values, atol=1e-12)
@@ -1029,16 +1043,35 @@ class TestRecoverTwoStage:
     @pytest.mark.parametrize("seed, max_iter", [(94, recovery.DEFAULT_MAX_ITER), (26, 32)],
                              ids=["whole-row", "observed-rows"])
     def test_repaired_report_residual_is_its_observed_mismatch(self, seed, max_iter):
-        dims = GridDims(n=4, t=8)
-        sig = generate_test_signal(dims, 3, 2 * seed, ProfileShape.SkewedRows)
-        pattern = sample_erasure(dims, 0.25, 2 * seed + 1)
-        prob = apply_erasure(gabor_row(sig), pattern)
+        prob, pattern = skewed_problem(seed)
         failed = [s is RowStatus.Failed for s in recover_rows(prob, max_iter=max_iter).row_status]
         report = recover_two_stage(prob, max_iter=max_iter)
         assert report.stage is RecoveryStage.RowThenColumn and any(failed)
         assert all(s is RowStatus.Recovered for s in report.row_status)
         mismatch = np.abs(gabor_row(report.recovered).values - prob.observed_values)
         assert report.residual == mismatch[~pattern.mask].max()
+
+
+    # the same grids: seed 6 at a 2-step budget and seed 29 at the default leave the column
+    # stage idle and hold erasure-free rows, whose residual is their rounding, not 0
+    @pytest.mark.parametrize("two_stage, seed, max_iter",
+                             [(False, 6, 2), (True, 29, recovery.DEFAULT_MAX_ITER)],
+                             ids=["recover_rows", "recover_two_stage-row-only"])
+    def test_row_stage_report_residual_is_its_observed_mismatch(self, two_stage, seed, max_iter):
+        prob, pattern = skewed_problem(seed)
+        report = (recover_two_stage if two_stage else recover_rows)(prob, max_iter=max_iter)
+        assert report.stage is RecoveryStage.RowOnly and (pattern.per_row_counts == 0).any()
+        recovered = np.array([s is RowStatus.Recovered for s in report.row_status])
+        mismatch = np.abs(gabor_row(report.recovered).values - prob.observed_values)
+        assert report.residual == mismatch[~pattern.mask & recovered[:, None]].max()
+
+
+def skewed_problem(seed):
+    """An n=4, t=8 SkewedRows grid at e_max 3 and its pattern, erased at theta 0.25."""
+    dims = GridDims(n=4, t=8)
+    sig = generate_test_signal(dims, 3, 2 * seed, ProfileShape.SkewedRows)
+    pattern = sample_erasure(dims, 0.25, 2 * seed + 1)
+    return apply_erasure(gabor_row(sig), pattern), pattern
 
 
 class TestReportJson:
