@@ -60,6 +60,7 @@ class ErasurePattern:
     def from_missing(cls, dims: GridDims, positions) -> "ErasurePattern":
         mask = np.zeros((dims.t, dims.n), dtype=bool)
         for x, y in positions:
+            x, y = _strict_int(x, "x"), _strict_int(y, "y")
             if not (0 <= x < dims.n and 0 <= y < dims.t):
                 raise ValueError(f"position ({x}, {y}) outside grid {dims.n}x{dims.t}")
             mask[y, x] = True
@@ -160,7 +161,6 @@ def pattern_from_json(text: str) -> ErasurePattern:
     payload = json.loads(text)
     try:
         dims = GridDims(_strict_int(payload["n"], "n"), _strict_int(payload["t"], "t"))
-        positions = [(_strict_int(x, "x"), _strict_int(y, "y")) for x, y in payload["missing"]]
+        return ErasurePattern.from_missing(dims, payload["missing"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed pattern JSON: {exc}") from exc
-    return ErasurePattern.from_missing(dims, positions)

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .channel import RecoveryProblem
-from .signal import Signal2D, _positive_int, signal_payload
+from .signal import Signal2D, _positive_int, _strict_float, _strict_int, signal_payload
 from .transforms import TransformKind, _dft, _idft
 
 __all__ = [
@@ -249,6 +249,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     B, n = vals.shape
     if n < 1:
         raise ValueError("rows must have a positive width n")
+    tol = _strict_float(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
@@ -336,13 +337,12 @@ def l1_recover_1d(observed, missing, n: int, domain: L1Domain = L1Domain.Minimiz
     polish before the first step is not an iteration, so at ``max_iter=0``
     this is the row that polish certifies, or None where it does not.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    missing = set(int(m) for m in missing)
+    n = _positive_int(n, "n")
+    missing = set(_strict_int(m, "missing position") for m in missing)
     if any(not (0 <= m < n) for m in missing):
         raise ValueError("missing positions must lie in range(n)")
     expected = set(range(n)) - missing
-    keys = set(int(k) for k in observed.keys())
+    keys = set(_strict_int(k, "observed key") for k in observed.keys())
     if keys != expected:
         raise ValueError("observed must cover exactly the complement of missing")
 

@@ -121,7 +121,8 @@ class SupportProfile:
     row_supports: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "row_supports", tuple(int(s) for s in self.row_supports))
+        object.__setattr__(self, "row_supports", tuple(
+            _strict_int(s, "row support") for s in self.row_supports))
         if any(s < 0 for s in self.row_supports):
             raise ValueError("row supports must be non-negative")
 

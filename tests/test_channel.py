@@ -59,6 +59,13 @@ class TestErasurePattern:
         with pytest.raises(ValueError):
             ErasurePattern.from_missing(DIMS, [(0, -1)])
 
+    def test_from_missing_reads_positions_strictly(self):
+        # numpy would read a bool index as a mask, erasing a whole row
+        for bad in ((True, 0), (0, np.True_), (1.5, 0), ("1", 0), (None, 0)):
+            with pytest.raises(ValueError, match=" must be an integer"):
+                ErasurePattern.from_missing(DIMS, [bad])
+        assert ErasurePattern.from_missing(DIMS, [(2.0, np.int64(1))]).missing == {(2, 1)}
+
     def test_equality(self):
         a = full_row_pattern(DIMS, 1)
         b = full_row_pattern(DIMS, 1)

@@ -286,6 +286,19 @@ class TestL1Recover1d:
         assert l1_recover_1d(freq_map(rejected, {0}), {0}, n, max_iter=0) is None
         assert np.allclose(l1_recover_1d(freq_map(rejected, {0}), {0}, n), rejected, atol=1e-12)
 
+    def test_reads_positions_and_width_strictly(self):
+        # n=4 with position 2 missing; a position is never truncated or read from a bool
+        observed = {0: 1.0, 1: 0.5j, 3: -0.25}
+        assert l1_recover_1d(observed, {2}, 4) is not None
+        for obs, missing, n, name in (({0: 1.0, 1.5: 0.5j, 3: -0.25}, {2}, 4, "observed key"),
+                                      (observed, {2.7}, 4, "missing position"),
+                                      ({0: 1.0, 2: 0.5j, 3: -0.25}, {True}, 4, "missing position"),
+                                      (observed, {2}, 4.0, "n")):
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                l1_recover_1d(obs, missing, n)
+        got = l1_recover_1d({0.0: 1.0, np.int64(1): 0.5j, 3: -0.25}, {2.0}, np.int64(4))
+        assert got.tobytes() == l1_recover_1d(observed, {2}, 4).tobytes()
+
     def test_ambiguous_extremal_instance(self):
         # support {0,2} with spectrum missing at {0,2}: the comb 1,0,1,0 has
         # zero observed spectrum, so the zero signal beats it in L1 norm
@@ -378,9 +391,10 @@ class TestL1RecoverMany:
     # a nan tol fails every comparison, so no row could polish; a float budget
     # cannot count iterations, and a negative one would run none
     @pytest.mark.parametrize("bad", [{"tol": math.nan}, {"tol": 0.0}, {"tol": math.inf},
+                                     {"tol": True}, {"tol": "1e-9"},
                                      {"max_iter": 10.0}, {"max_iter": -1}, {"max_iter": True}],
-                             ids=["nan-tol", "zero-tol", "inf-tol", "float-budget",
-                                  "negative-budget", "bool-budget"])
+                             ids=["nan-tol", "zero-tol", "inf-tol", "bool-tol", "str-tol",
+                                  "float-budget", "negative-budget", "bool-budget"])
     def test_rejects_bad_tolerance_and_budget(self, bad):
         masks = np.array([[True, False, False, False]])
         (name,) = bad

@@ -7,6 +7,7 @@ from gabor_recover.signal import (
     DEFAULT_REL_TOL,
     GridDims,
     Signal2D,
+    SupportProfile,
     column_support_max,
     signal_from_json,
     signal_to_json,
@@ -147,6 +148,13 @@ class TestSupportProfile:
             prof = support_profile(sig, tol=0.0)
             assert 0 <= prof.e_max <= 7
             assert prof.e_max <= prof.total_support <= 4 * prof.e_max
+
+    def test_reads_sizes_strictly(self):
+        # a size is an integer, numpy's or an integral float, never truncated or a bool
+        for bad in ((1.7, True), (1.7,), (True,), (np.True_,), ("2",)):
+            with pytest.raises(ValueError, match="^row support must be an integer"):
+                SupportProfile(bad)
+        assert SupportProfile((np.int64(2), 3.0, 0)).row_supports == (2, 3, 0)
 
 
 class TestColumnSupportMax:
