@@ -24,11 +24,15 @@ A decision is a converged flag, a row status, a guarantee flag, whether a
 report recovered anything, its stage, a draw's support, and every integer,
 boolean, string or empty cell of an artifact. The script prints each side's
 ``src/`` line count (newlines in its ``.py`` files, as ``wc -l`` counts
-them), the largest drift of any float, the counts of bit-identical engine
-outputs, byte-identical ``report_to_json`` strings, bit-identical draws and
-byte-identical artifacts, every changed decision, and every engine batch or
-grid report whose bytes differ with no decision changed, with its largest
-drift. An engine or grid change names its ``max_iter`` and its direction: a
+them); the counts of bit-identical engine outputs (and of engine batches
+whose signals and flags alone are, with the rows whose residual moved and
+how many of them are fully observed), byte-identical ``report_to_json``
+strings, bit-identical draws and byte-identical artifacts; the largest drift
+of values (engine signals, recovered grid values and draws) apart from that
+of residuals (engine and report), with artifact float cells on a line of
+their own; every changed decision; and every engine batch or grid report
+whose bytes differ with no decision changed, with its largest drift of each
+kind. An engine or grid change names its ``max_iter`` and its direction: a
 converged flag comes with the head's relative error against the planted
 signal, and a row status with its counts of Failed->Recovered and
 Recovered->Failed rows. It exits 1 when any decision changed, and 2 when a
@@ -116,6 +120,7 @@ def _engine_batches(count: int, out: Path) -> None:
         sols, conv, resid = l1_recover_many(np.where(masks, 0, data), masks, domain,
                                             max_iter=max_iter)
         arrays[f"sols{k}"], arrays[f"conv{k}"], arrays[f"resid{k}"] = sols, conv, resid
+        arrays[f"masks{k}"] = masks
         # the planted signal (the data itself when the sparse vector is its spectrum)
         arrays[f"truth{k}"] = sparse if domain is L1Domain.MinimizeSignalL1 else data
         arrays[f"budget{k}"] = max_iter
@@ -194,17 +199,17 @@ class Tally:
     def __init__(self):
         self.changed = []
         self.drifted = []  # outputs whose bytes differ with no decision changed
-        self.drift = 0.0
+        self.drift = {"values": 0.0, "residuals": 0.0, "artifact floats": 0.0}
 
-    def float_drift(self, a, b) -> float:
+    def float_drift(self, kind: str, a, b) -> float:
         drift = float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0))
-        self.drift = max(self.drift, drift)
+        self.drift[kind] = max(self.drift[kind], drift)
         return drift
 
 
 def compare_engine(base: Path, head: Path, count: int, tally: Tally) -> str:
     with np.load(base / "engine.npz") as b, np.load(head / "engine.npz") as h:
-        identical = rows = 0
+        identical = same_signals = rows = moved = moved_full = 0
         for k in range(count):
             keys = [f"sols{k}", f"conv{k}", f"resid{k}"]
             rows += b[keys[1]].size
@@ -215,14 +220,20 @@ def compare_engine(base: Path, head: Path, count: int, tally: Tally) -> str:
                     f"engine batch {k} row {r} (n={truth.shape[1]}, max_iter={h[f'budget{k}']}):"
                     f" converged flag {b[keys[1]][r]}->{h[keys[1]][r]},"
                     f" head error against the planted signal {err:.2g}")
-            drift = max(tally.float_drift(b[keys[0]], h[keys[0]]),
-                        tally.float_drift(b[keys[2]], h[keys[2]]))
-            same = all(b[key].tobytes() == h[key].tobytes() for key in keys)
-            identical += same
-            if not (same or flips.size):
+            values = tally.float_drift("values", b[keys[0]], h[keys[0]])
+            resid = tally.float_drift("residuals", b[keys[2]], h[keys[2]])
+            same = [b[key].tobytes() == h[key].tobytes() for key in keys]
+            identical += all(same)
+            same_signals += same[0] and same[1]
+            rows_moved = b[keys[2]] != h[keys[2]]
+            moved += rows_moved.sum()
+            moved_full += (rows_moved & ~h[f"masks{k}"].any(axis=1)).sum()
+            if not (all(same) or flips.size):
                 tally.drifted.append(f"engine batch {k} (max_iter={h[f'budget{k}']}): "
-                                     f"max drift {drift:.2g}")
-    return f"engine: {identical}/{count} batches bit-identical ({rows} rows)"
+                                     f"values {values:.2g}, residuals {resid:.2g}")
+    return (f"engine: {identical}/{count} batches bit-identical ({rows} rows); signals and "
+            f"flags bit-identical in {same_signals}/{count}; residuals moved on {moved} rows, "
+            f"{moved_full} of them fully observed")
 
 
 def compare_grids(base: Path, head: Path, tally: Tally) -> str:
@@ -246,13 +257,13 @@ def compare_grids(base: Path, head: Path, tally: Tally) -> str:
                 tally.changed.append(f"{where}: guarantee flags {b['guarantee']}->{h['guarantee']}")
             if (rb["recovered"] is None) != (rh["recovered"] is None):
                 tally.changed.append(f"{where}: recovered None")
-            drift = tally.float_drift(rb["residual"], rh["residual"])
+            resid, values = tally.float_drift("residuals", rb["residual"], rh["residual"]), 0.0
             if rb["recovered"] is not None and rh["recovered"] is not None:
                 for part in ("re", "im"):
-                    drift = max(drift, tally.float_drift(rb["recovered"][part],
-                                                         rh["recovered"][part]))
+                    values = max(values, tally.float_drift("values", rb["recovered"][part],
+                                                           rh["recovered"][part]))
             if b["json"] != h["json"] and len(tally.changed) == changed:
-                tally.drifted.append(f"{where}: max drift {drift:.2g}")
+                tally.drifted.append(f"{where}: values {values:.2g}, residual {resid:.2g}")
     return (f"grids: {identical}/{2 * len(b_all)} reports byte-identical "
             f"({len(b_all)} grids, {column_stage} reaching the column stage)")
 
@@ -262,7 +273,7 @@ def compare_draws(base: Path, head: Path, tally: Tally) -> str:
         identical = 0
         for key in b.files:
             bk, hk = b[key], h[key]
-            tally.float_drift(bk, hk)
+            tally.float_drift("values", bk, hk)
             identical += sum(x.tobytes() == y.tobytes() for x, y in zip(bk, hk))
             # a draw's support is a decision; its entries are of modulus about 1
             moved = np.flatnonzero(((np.abs(bk) > 1e-9) != (np.abs(hk) > 1e-9)).any(axis=(1, 2)))
@@ -330,7 +341,7 @@ def compare_artifacts(base: Path, head: Path, tally: Tally) -> str:
         if decisions[0] != decisions[1] or len(floats[0]) != len(floats[1]):
             tally.changed.append(f"artifact {name}: an integer, boolean or empty cell")
         else:
-            tally.float_drift(*floats)
+            tally.float_drift("artifact floats", *floats)
     return f"cli: {identical}/{len(names)} artifacts byte-identical ({len(CLI_RUNS) + 1} runs)"
 
 
@@ -377,7 +388,9 @@ def main() -> int:
         print(compare_grids(base, head, tally))
         print(compare_draws(base, head, tally))
         print(compare_artifacts(base, head, tally))
-    print(f"max float drift: {tally.drift:.3g}")
+    print(f"max drift: values {tally.drift['values']:.3g}, "
+          f"residuals {tally.drift['residuals']:.3g}")
+    print(f"max drift of artifact float cells: {tally.drift['artifact floats']:.3g}")
     print(f"changed decisions: {len(tally.changed)}")
     for line in tally.changed:
         print(f"  {line}")
