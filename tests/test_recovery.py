@@ -1065,7 +1065,6 @@ class TestRecoverTwoStage:
         mismatch = np.abs(gabor_row(report.recovered).values - prob.observed_values)
         assert report.residual == mismatch[~pattern.mask].max()
 
-
     # the same grids: seed 6 at a 2-step budget and seed 29 at the default leave the column
     # stage idle and hold erasure-free rows, whose residual is their rounding, not 0
     @pytest.mark.parametrize("two_stage, seed, max_iter",
