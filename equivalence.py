@@ -17,18 +17,20 @@ imports that side's ``src/``. Both sides get the same inputs:
   ``recover_two_stage``;
 * ``generate_test_signal`` draws of both profile shapes at several
   ``(n, t, e_max)`` and ``DRAW_SEEDS`` seeds each;
+* ``sample_erasure`` masks at the same ``(n, t)`` and ``MASK_SEEDS``, which
+  also run across ``2**32`` and ``2**64``, where a seed grows a 32-bit word;
 * a fixed set of CLI runs covering every experiment mode, driven by flags, and
   one two-stage run that reads a config file and overrides one of its fields.
 
 A decision is a converged flag, a row status, a guarantee flag, whether a
-report recovered anything, its stage, a draw's support, and every integer,
-boolean, string or empty cell of an artifact. The script prints each side's
-``src/`` line count (newlines in its ``.py`` files, as ``wc -l`` counts
-them); the counts of bit-identical engine outputs (and of engine batches
-whose signals and flags alone are, with the rows whose residual moved and
-how many of them are fully observed), byte-identical ``report_to_json``
-strings, bit-identical draws and byte-identical artifacts; the largest drift
-of values (engine signals, recovered grid values and draws) apart from that
+report recovered anything, its stage, a draw's support, a whole mask, and
+every integer, boolean, string or empty cell of an artifact. The script
+prints each side's ``src/`` line count (newlines in its ``.py`` files, as
+``wc -l`` counts them); the counts of bit-identical engine outputs (and of
+engine batches whose signals and flags alone are, with the rows whose
+residual moved and how many of them are fully observed), byte-identical
+``report_to_json`` strings, bit-identical draws and masks and byte-identical
+artifacts; the largest drift of values (engine signals, recovered grid values and draws) apart from that
 of residuals (engine and report), with artifact float cells on a line of
 their own; every changed decision; and every engine batch or grid report
 whose bytes differ with no decision changed, with its largest drift of each
@@ -60,6 +62,8 @@ GRID_BUDGETS = (1, 2, 3, 8, 16, 100, 1000, 100_000)
 # and e_max >= log2(t), so each shape suits both profile shapes
 DRAW_SHAPES = ((4, 4, 2), (8, 8, 3), (16, 8, 7), (12, 4, 12), (32, 16, 4), (64, 32, 9))
 DRAW_SEEDS = 200
+MASK_SEEDS = (*range(DRAW_SEEDS), *range(2**32 - 8, 2**32 + 8), *range(2**64 - 8, 2**64 + 8))
+MASK_THETA = 0.3
 
 # every experiment mode; the two-stage runs reach the column stage, and the
 # tail-bounds runs hold rows with and without a valid bound, n up to 1e5
@@ -165,6 +169,16 @@ def _draws(out: Path) -> None:
         for shape in ProfileShape for n, t, e_max in DRAW_SHAPES})
 
 
+def _masks(out: Path) -> None:
+    from gabor_recover.channel import sample_erasure
+    from gabor_recover.signal import GridDims
+
+    np.savez(out / "masks.npz", **{
+        f"{n}_{t}": np.array([sample_erasure(GridDims(n=n, t=t), MASK_THETA, seed).mask
+                              for seed in MASK_SEEDS])
+        for n, t, _ in DRAW_SHAPES})
+
+
 def _cli_runs(out: Path) -> None:
     from gabor_recover import cli
 
@@ -188,6 +202,7 @@ def collect(out: Path, batches: int, grids: int) -> None:
     _engine_batches(batches, out)
     _grids(grids, out)
     _draws(out)
+    _masks(out)
     _cli_runs(out)
 
 
@@ -280,6 +295,18 @@ def compare_draws(base: Path, head: Path, tally: Tally) -> str:
             tally.changed += [f"draw {key} seed {seed}: support" for seed in moved]
     return (f"draws: {identical}/{len(b.files) * DRAW_SEEDS} bit-identical "
             f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes)")
+
+
+def compare_masks(base: Path, head: Path, tally: Tally) -> str:
+    with np.load(base / "masks.npz") as b, np.load(head / "masks.npz") as h:
+        identical = 0
+        for key in b.files:
+            same = [x.tobytes() == y.tobytes() for x, y in zip(b[key], h[key])]
+            identical += sum(same)
+            tally.changed += [f"mask {key} seed {seed}" for seed, ok in zip(MASK_SEEDS, same)
+                              if not ok]
+    return (f"masks: {identical}/{len(b.files) * len(MASK_SEEDS)} bit-identical "
+            f"({len(DRAW_SHAPES)} grid shapes x {len(MASK_SEEDS)} seeds, theta {MASK_THETA})")
 
 
 def _json_leaves(path: Path) -> list:
@@ -387,6 +414,7 @@ def main() -> int:
         print(compare_engine(base, head, args.batches, tally))
         print(compare_grids(base, head, tally))
         print(compare_draws(base, head, tally))
+        print(compare_masks(base, head, tally))
         print(compare_artifacts(base, head, tally))
     print(f"max drift: values {tally.drift['values']:.3g}, "
           f"residuals {tally.drift['residuals']:.3g}")

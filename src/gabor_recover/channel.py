@@ -2,18 +2,22 @@
 
 Every position ``(x, y)`` is lost with probability ``theta``, independently of
 all others, driven by numpy's PCG64 generator so identical ``(dims, theta,
-seed)`` triples give identical patterns on every platform.
+seed)`` triples give identical patterns on every platform. ``_streams`` is the
+one place a seed becomes a generator, for erasures and test signals alike: it
+gives each seed the stream ``Generator(PCG64(seed))`` starts, bit for bit, with
+numpy's SeedSequence hash run on a block of seeds at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import GridDims, Signal2D, _grid_array, _strict_float, _strict_int
+from .signal import GridDims, Signal2D, _grid_array, _int_at_least, _strict_float, _strict_int
 from .transforms import TransformKind
 
 __all__ = [
@@ -110,21 +114,81 @@ class ErasureStats:
     m_min: int
 
 
-def _sample_masks(dims: GridDims, theta: float, seeds) -> np.ndarray:
-    """The masks :func:`sample_erasure` draws at these seeds, stacked ``(len(seeds), t, n)``."""
+# numpy's SeedSequence: (first, multiplier) of each hash stage, and the mix multipliers
+_POOL_HASH, _STATE_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_SEED_BLOCK = 4096  # seeds whose states are computed together, so memory is flat in the count
+
+
+def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` hash constants of a SeedSequence stage, as a uint32 column."""
+    consts = itertools.accumulate([first] + [mult] * (count - 1), lambda c, m: c * m & 0xFFFFFFFF)
+    return np.array(list(consts), dtype=np.uint32)[:, None]
+
+
+def _hashmix(values, consts):
+    """SeedSequence's ``hashmix``, row ``k`` with hash constants ``k`` and ``k + 1``."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> _FOLD
+
+
+def _mix(x, y):
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> _FOLD
+
+
+def _pcg64_states(seeds: list) -> list:
+    """``(state, inc)`` of ``PCG64(seed)`` for each int seed >= 0: numpy's hash, seeds abreast."""
+    words = max(4, -(-max(seeds).bit_length() // 32))  # a seed is its 32-bit words, low first
+    pool = np.array([[seed >> 32 * k & 0xFFFFFFFF for seed in seeds] for k in range(words)],
+                    dtype=np.uint32)
+    consts = _hash_constants(*_POOL_HASH, 4 * words + 1)
+    mixer = _hashmix(pool[:4], consts[:5])  # a short seed's missing words hash as 0
+    for src in range(4):
+        dst = [k for k in range(4) if k != src]
+        mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], consts[4 + 3 * src:8 + 3 * src]))
+    for src in range(4, words):  # each seed word past the pool's four, where the seed has it
+        mixed = _mix(mixer, _hashmix(pool[src], consts[4 * src:4 * src + 5]))
+        mixer = np.where([seed >> 32 * src > 0 for seed in seeds], mixed, mixer)
+    # generate_state(4, uint64): the pool cycled twice, each pair of words low first
+    out = _hashmix(np.tile(mixer, (2, 1)), _hash_constants(*_STATE_HASH, 9)).astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = (out[0::2] | out[1::2] << 32).tolist()
+    mask = (1 << 128) - 1  # PCG64's srandom, modulo 2**128
+    incs = [(hi << 65 | lo << 1 | 1) & mask for hi, lo in zip(i_hi, i_lo)]
+    return [((((hi << 64 | lo) + inc) * _PCG64_MULT + inc) & mask, inc)
+            for hi, lo, inc in zip(s_hi, s_lo, incs)]
+
+
+def _streams(seeds):
+    """For each int seed >= 0 in order, a Generator in the state ``Generator(PCG64(seed))``
+    starts in: the same Generator each time, reseeded as the next is taken, so a seed's
+    draws come first. States are computed ``_SEED_BLOCK`` seeds at a time."""
+    bitgen = np.random.PCG64(0)
+    rng, seeds = np.random.Generator(bitgen), iter(seeds)
+    while block := list(itertools.islice(seeds, _SEED_BLOCK)):
+        for state, inc in _pcg64_states(block):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
+def _sample_masks(dims: GridDims, theta: float, rngs, count: int) -> np.ndarray:
+    """The masks the next ``count`` streams of ``rngs`` draw, stacked ``(count, t, n)``."""
     theta = _strict_float(theta, "theta")
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    draw = np.empty((dims.t, dims.n))  # each seed's own PCG64 fills it as random((t, n)) does
-    masks = np.empty((len(seeds), dims.t, dims.n), dtype=bool)
-    for mask, seed in zip(masks, seeds):
-        np.less(np.random.Generator(np.random.PCG64(seed)).random(out=draw), theta, out=mask)
+    draw = np.empty((dims.t, dims.n))  # each stream fills it as random((t, n)) does
+    masks = np.empty((count, dims.t, dims.n), dtype=bool)
+    for mask, rng in zip(masks, rngs):  # masks first: zip takes no stream past the last
+        np.less(rng.random(out=draw), theta, out=mask)
     return masks
 
 
 def sample_erasure(dims: GridDims, theta: float, seed: int) -> ErasurePattern:
-    """Draw one erasure pattern; each position lost independently w.p. theta."""
-    return ErasurePattern(dims=dims, mask=_sample_masks(dims, theta, [seed])[0])
+    """Draw one erasure pattern at an int seed >= 0; each position lost independently w.p. theta."""
+    rngs = _streams([_int_at_least(seed, "seed", 0)])
+    return ErasurePattern(dims=dims, mask=_sample_masks(dims, theta, rngs, 1)[0])
 
 
 def erasure_stats(pattern: ErasurePattern) -> ErasureStats:

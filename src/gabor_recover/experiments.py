@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import _sample_masks
+from .channel import _sample_masks, _streams
 from .probbounds import (
     binom_tail_upper,
     lemma_tail_bound,
@@ -32,7 +32,7 @@ from .probbounds import (
     prob_mmin_below,
 )
 from .recovery import DEFAULT_FEAS_TOL, _recover_many, ds_condition
-from .signal import GridDims, Signal2D, _active, _strict_float, _strict_int
+from .signal import GridDims, Signal2D, _active, _int_at_least, _strict_float, _strict_int
 from .transforms import _dft
 
 __all__ = [
@@ -185,16 +185,16 @@ def _skewed_levels(t: int, e_max_target: int) -> int:
     return levels
 
 
-def _test_signals(dims: GridDims, e_max_target: int, seeds,
+def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
                   profile_shape: ProfileShape) -> np.ndarray:
-    """The signals :func:`generate_test_signal` draws at these seeds, stacked ``(G, t, n)``."""
+    """The signals the next ``count`` streams of ``rngs`` draw, stacked ``(count, t, n)``."""
     n, t = dims.n, dims.t
     if not (1 <= e_max_target <= n):
         raise ValueError(f"e_max_target must lie in [1, n={n}], got {e_max_target}")
-    vals = np.zeros((len(seeds), t, n), dtype=np.complex128)
-    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    vals = np.zeros((count, t, n), dtype=np.complex128)
+    # grids first in each zip, so that it takes no stream past the last
     if profile_shape is ProfileShape.UniformRows:
-        for rng, grid in zip(rngs, vals):
+        for grid, rng in zip(vals, rngs):
             order = np.argsort(rng.random((t, n)), axis=1)[:, :e_max_target]
             phases = np.exp(2j * np.pi * rng.random((t, e_max_target)))
             np.put_along_axis(grid, order, phases, axis=1)
@@ -205,7 +205,7 @@ def _test_signals(dims: GridDims, e_max_target: int, seeds,
     # one column per dyadic level first, extras rotate from the largest coset down
     levels = (np.sort(np.arange(e_max_target) % _skewed_levels(t, e_max_target)) + 1).tolist()
     y = np.arange(t)
-    for rng, grid in zip(rngs, vals):
+    for grid, rng in zip(vals, rngs):
         cols = rng.choice(n, size=e_max_target, replace=False)
         dense_row = int(rng.integers(t))
         for col, level in zip(cols, levels):
@@ -232,26 +232,26 @@ def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
     except one shared row, so that row sees every column (support
     ``e_max_target``) while each remaining row loses at least one column
     (support strictly smaller). Requires the number of rows to be a power of
-    two, at least 4, with ``log2(t) <= e_max_target <= n``. This is the one-seed
-    case of the stack the trial harness draws.
+    two, at least 4, with ``log2(t) <= e_max_target <= n``. ``seed`` is an int
+    >= 0, numpy's too. This is the one-seed case of the stack the harness draws.
     """
-    return Signal2D(dims=dims, values=_test_signals(dims, e_max_target, [seed], profile_shape)[0])
+    rngs = _streams([_int_at_least(seed, "seed", 0)])
+    return Signal2D(dims=dims, values=_test_signals(dims, e_max_target, rngs, 1, profile_shape)[0])
 
 
 # ----------------------------------------------------------------------------
 # trials
 # ----------------------------------------------------------------------------
 
-def _run_trials(config: ExperimentConfig, seeds: range) -> list:
+def _run_trials(config: ExperimentConfig, seeds: range, mask_rngs, signal_rngs) -> list:
     """The records of the trials of these seeds, in seed order, their grids solved together."""
-    # the signal and the pattern draw from separate seeds, so their order is free
-    masks = _sample_masks(config.dims, config.theta, [2 * seed + 1 for seed in seeds])
+    masks = _sample_masks(config.dims, config.theta, mask_rngs, len(seeds))
     counts = masks.sum(axis=2)
     extremes = zip(seeds, counts.max(1).tolist(), counts.min(1).tolist())
     if config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep):
         return [TrialRecord(seed, m_max, m_min, 0, False, 0.0) for seed, m_max, m_min in extremes]
 
-    truth = _test_signals(config.dims, config.e_max_target, [2 * seed for seed in seeds],
+    truth = _test_signals(config.dims, config.e_max_target, signal_rngs, len(seeds),
                           config.profile_shape)
     b = np.where(masks, 0.0 + 0.0j, _dft(truth, axis=2))
     if config.mode is ExperimentMode.RowRecovery:
@@ -343,8 +343,12 @@ def run_experiment(config: ExperimentConfig):
 
     sweep = config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep)
     step = max(1, _CHUNK_ENTRIES * (16 if sweep else 1) // config.dims.size)
+    # trial s draws its pattern at seed 2s + 1 and its signal at 2s, each stream opened once
+    seeds = range(config.base_seed, config.base_seed + config.trials)
+    mask_rngs = _streams(range(2 * seeds.start + 1, 2 * seeds.stop, 2))
+    signal_rngs = _streams(range(2 * seeds.start, 2 * seeds.stop, 2))
     records = [record for lo in range(0, config.trials, step) for record in _run_trials(
-        config, range(config.base_seed + lo, config.base_seed + min(lo + step, config.trials)))]
+        config, seeds[lo:lo + step], mask_rngs, signal_rngs)]
 
     # the row certificate 2 * e_max * m < n, for each trial's worst and best row
     below = ds_condition(config.e_max_target, np.array([(r.m_max, r.m_min) for r in records]), n)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .signal import _positive_int, _strict_float
+from .signal import _int_at_least, _strict_float
 
 __all__ = [
     "TailBoundResult",
@@ -39,7 +39,7 @@ def _ceil_snapped(v: float) -> int:
 
 def _validate_n_theta(n: int, theta: float) -> tuple[int, float]:
     """``n`` as a plain ``int`` and ``theta`` as a ``float`` in [0, 1]; else ValueError."""
-    n = _positive_int(n, "n")
+    n = _int_at_least(n, "n")
     theta = _strict_float(theta, "theta")
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
@@ -139,7 +139,7 @@ def prob_mmax_below(n: int, t: int, theta: float, c: float) -> float:
     This is the probability that every row's erasure count stays below ``c``,
     i.e. ``(1 - P(X >= c))**t`` computed as ``exp(t*log1p(-tail))``.
     """
-    t = _positive_int(t, "t")
+    t = _int_at_least(t, "t")
     tail = binom_tail_upper(n, theta, _threshold(c, "c"))
     if tail >= 1.0:
         return 0.0
@@ -148,7 +148,7 @@ def prob_mmax_below(n: int, t: int, theta: float, c: float) -> float:
 
 def prob_mmin_below(n: int, t: int, theta: float, c: float) -> float:
     """P(min of t iid Binomial(n, theta) draws < c) = 1 - P(X >= c)**t."""
-    t = _positive_int(t, "t")
+    t = _int_at_least(t, "t")
     tail = binom_tail_upper(n, theta, _threshold(c, "c"))
     if tail == 0.0:
         return 1.0
@@ -164,7 +164,7 @@ def support_budget(theta: float, t: int) -> tuple[int, int]:
     ``total = t * per_row``. The snap guard keeps exact reciprocals (e.g.
     ``theta = 1/6``) from rounding up spuriously.
     """
-    t = _positive_int(t, "t")
+    t = _int_at_least(t, "t")
     theta = _strict_float(theta, "theta")
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")

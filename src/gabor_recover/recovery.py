@@ -45,7 +45,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .channel import RecoveryProblem
-from .signal import Signal2D, _positive_int, _strict_float, _strict_int, signal_payload
+from .signal import Signal2D, _int_at_least, _strict_float, _strict_int, signal_payload
 from .transforms import TransformKind, _dft, _idft
 
 __all__ = [
@@ -337,7 +337,7 @@ def l1_recover_1d(observed, missing, n: int, domain: L1Domain = L1Domain.Minimiz
     polish before the first step is not an iteration, so at ``max_iter=0``
     this is the row that polish certifies, or None where it does not.
     """
-    n = _positive_int(n, "n")
+    n = _int_at_least(n, "n")
     missing = set(_strict_int(m, "missing position") for m in missing)
     if any(not (0 <= m < n) for m in missing):
         raise ValueError("missing positions must lie in range(n)")
@@ -600,7 +600,7 @@ def recover_two_stage(problem: RecoveryProblem, col_transform_support_max: Optio
     they are demoted back to Failed. This is :func:`_recover_many` on one grid.
     """
     bound = col_transform_support_max
-    bound = None if bound is None else _positive_int(bound, "col_transform_support_max")
+    bound = None if bound is None else _int_at_least(bound, "col_transform_support_max")
     return _report(problem, None, [bound], tol, max_iter)
 
 

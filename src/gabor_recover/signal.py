@@ -77,12 +77,12 @@ def _strict_float(value, name: str) -> float:
     return float(value)
 
 
-def _positive_int(value, name: str) -> int:
-    """``value`` as a plain ``int``: an integer, numpy's too, but not a bool, and at least 1."""
+def _int_at_least(value, name: str, least: int = 1) -> int:
+    """``value`` as a plain ``int``: an integer, numpy's too, never a bool, and ``>= least``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     return int(value)
 
 

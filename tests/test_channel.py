@@ -10,6 +10,7 @@ from gabor_recover.channel import (
     ErasurePattern,
     ErasureStats,
     _sample_masks,
+    _streams,
     apply_erasure,
     erasure_stats,
     pattern_from_json,
@@ -103,6 +104,17 @@ class TestSampleErasure:
         with pytest.raises(ValueError, match="theta must be a number"):
             sample_erasure(DIMS, theta, seed=3)
 
+    @pytest.mark.parametrize("seed", [None, True, np.bool_(True), 3.0, 2.5, "3", -1],
+                             ids=["none", "bool", "numpy-bool", "integral-float", "float",
+                                  "string", "negative"])
+    def test_rejects_bad_seed(self, seed):
+        # None once drew OS entropy, so two equal calls gave different patterns
+        with pytest.raises(ValueError, match="seed must be"):
+            sample_erasure(DIMS, 0.3, seed)
+
+    def test_numpy_integer_seed_reads_as_its_int(self):
+        assert sample_erasure(DIMS, 0.3, np.uint64(2**40)) == sample_erasure(DIMS, 0.3, 2**40)
+
     def test_rejects_nan_theta(self):
         for theta in (math.nan, np.float64(math.nan)):
             with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
@@ -147,7 +159,7 @@ class TestSampleMasks:
     @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
     def test_each_mask_is_its_seeds_own_draw(self, dims, theta):
         seeds = [0, 1, 5, 2, 2**40 + 3]
-        masks = _sample_masks(dims, theta, seeds)
+        masks = _sample_masks(dims, theta, _streams(seeds), len(seeds))
         assert masks.dtype == bool and masks.shape == (len(seeds), dims.t, dims.n)
         for mask, seed in zip(masks, seeds):
             # the draw of a fresh PCG64 stream per seed, as a one-pattern sampler writes it
@@ -156,8 +168,37 @@ class TestSampleMasks:
             assert np.array_equal(sample_erasure(dims, theta, seed).mask, expected)
 
     def test_no_seeds_give_an_empty_stack(self):
-        masks = _sample_masks(GridDims(n=16, t=4), 0.3, [])
+        masks = _sample_masks(GridDims(n=16, t=4), 0.3, _streams([]), 0)
         assert masks.shape == (0, 4, 16) and masks.dtype == bool
+
+
+class TestStreams:
+    # numpy's own constructor is the reference for every state and draw
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128, 2**160 + 3],
+                             ids=["0", "2^32-1", "2^32", "2^64", "2^128", "2^160+3"])
+    def test_state_is_pcg64s_at_the_seed(self, seed):
+        (rng,) = _streams([seed])
+        assert rng.bit_generator.state == np.random.PCG64(seed).state
+
+    def test_states_across_a_block_boundary(self):
+        # 4100 seeds of 0 to 7 words in one run, a block of 4096 and one of 4
+        seeds = [k << k % 190 for k in range(4100)]
+        states = [rng.bit_generator.state for rng in _streams(seeds)]
+        assert states == [np.random.PCG64(seed).state for seed in seeds]
+
+    def test_draws_are_fresh_generators_draws(self):
+        # the calls test signals make; the last integers() call leaves half a 64-bit
+        # word buffered, which the next seed must not see
+        def draws(rng):
+            got = (rng.random((3, 5)).tobytes(), int(rng.integers(8)),
+                   rng.choice(20, size=5, replace=False).tolist(), rng.random(),
+                   int(rng.integers(8)))
+            assert rng.bit_generator.state["has_uint32"] == 1
+            return got
+
+        seeds = [3, 2**64 + 1, 3, 0, 2**200]
+        got = [draws(rng) for rng in _streams(seeds)]
+        assert got == [draws(np.random.Generator(np.random.PCG64(seed))) for seed in seeds]
 
 
 class TestErasureStats:

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from gabor_recover import experiments
-from gabor_recover.channel import apply_erasure, erasure_stats, sample_erasure
+from gabor_recover.channel import _streams, apply_erasure, erasure_stats, sample_erasure
 from gabor_recover.experiments import (
     EXACT_REL_TOL,
     TRIAL_CSV_HEADER,
@@ -179,10 +179,24 @@ class TestGenerateTestSignal:
     @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
     def test_each_seed_is_its_slice_of_the_stack(self, shape):
         dims, seeds = GridDims(n=12, t=8), [40, 3, 3, 17]
-        stack = experiments._test_signals(dims, 4, seeds, shape)
+        stack = experiments._test_signals(dims, 4, _streams(seeds), len(seeds), shape)
         assert stack.shape == (4, 8, 12)
         for seed, grid in zip(seeds, stack):
             assert generate_test_signal(dims, 4, seed, shape).values.tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
+    @pytest.mark.parametrize("seed", [None, True, np.bool_(True), 3.0, 2.5, "3", -1],
+                             ids=["none", "bool", "numpy-bool", "integral-float", "float",
+                                  "string", "negative"])
+    def test_rejects_bad_seed(self, shape, seed):
+        # None once drew OS entropy, so two equal calls gave different signals
+        with pytest.raises(ValueError, match="seed must be"):
+            generate_test_signal(GridDims(n=8, t=4), 2, seed, shape)
+
+    def test_numpy_integer_seed_reads_as_its_int(self):
+        dims = GridDims(n=8, t=4)
+        assert (generate_test_signal(dims, 2, np.int64(2**40)).values.tobytes()
+                == generate_test_signal(dims, 2, 2**40).values.tobytes())
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -344,9 +358,9 @@ class TestRunExperiment:
                           mode=mode)
         chunks, original = [], experiments._run_trials
 
-        def run_trials(config, seeds):
+        def run_trials(config, seeds, *streams):
             chunks.append(len(seeds))
-            return original(config, seeds)
+            return original(config, seeds, *streams)
 
         monkeypatch.setattr(experiments, "_run_trials", run_trials)
         _, records = run_experiment(cfg)
