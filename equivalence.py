@@ -12,6 +12,9 @@ imports that side's ``src/``. Both sides get the same inputs:
   alternating the two ``L1Domain``s. A batch of more than two rows has a fully
   erased first row and an erasure-free second row, and one batch in ten runs
   at ``max_iter`` 1, 2, 3, 8 or 16;
+* three more engine batches, each spanning several polish calls: every
+  Donoho-Stark certified (support, missing) pair at n = 9 and at n = 10, one
+  seeded draw per pair, and ``WIDE_ROWS`` random rows at n = 256;
 * ``--grids`` random grids (n = 8..64, t = 2..11, ``max_iter`` from 1 to 1e5,
   column support bound None, 1, 2 or t) through ``recover_rows`` and
   ``recover_two_stage``;
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -64,6 +68,8 @@ DRAW_SHAPES = ((4, 4, 2), (8, 8, 3), (16, 8, 7), (12, 4, 12), (32, 16, 4), (64, 
 DRAW_SEEDS = 200
 MASK_SEEDS = (*range(DRAW_SEEDS), *range(2**32 - 8, 2**32 + 8), *range(2**64 - 8, 2**64 + 8))
 MASK_THETA = 0.3
+CERTIFIED_WIDTHS = (9, 10)  # every certified pair, about 5,000 and 11,700 rows
+WIDE_ROWS = 300  # rows at n = 256, about five polish calls
 
 # every experiment mode; the two-stage runs reach the column stage, and the
 # tail-bounds runs hold rows with and without a valid bound, n up to 1e5
@@ -102,32 +108,68 @@ def _planted(rng, n: int, rows: int, max_support: int) -> np.ndarray:
     return sparse
 
 
+def _certified_rows(rng, n: int):
+    """``(sparse, masks)``: one draw on each certified (support, missing) pair at width ``n``."""
+    pairs = [(supp, miss) for e in range(n + 1) for m in range(n + 1) if 2 * e * m < n
+             for supp in itertools.combinations(range(n), e)
+             for miss in itertools.combinations(range(n), m)]
+    sparse = np.zeros((len(pairs), n), dtype=complex)
+    masks = np.zeros((len(pairs), n), dtype=bool)
+    for i, (supp, miss) in enumerate(pairs):
+        sparse[i, list(supp)] = rng.normal(size=len(supp)) + 1j * rng.normal(size=len(supp))
+        masks[i, list(miss)] = True
+    return sparse, masks
+
+
+def _random_masks(rng, n: int, rows: int, most: int) -> np.ndarray:
+    masks = np.zeros((rows, n), dtype=bool)
+    for i in range(rows):
+        masks[i, rng.choice(n, size=int(rng.integers(0, most + 1)), replace=False)] = True
+    return masks
+
+
+def _engine_batch(arrays: dict, k: int, sparse, masks, max_iter: int) -> None:
+    """Solve batch ``k`` in the ``L1Domain`` its parity picks; store its outputs in ``arrays``."""
+    from gabor_recover.recovery import L1Domain, l1_recover_many
+
+    n = sparse.shape[1]
+    domain = list(L1Domain)[k % 2]
+    if domain is L1Domain.MinimizeSignalL1:
+        data = np.fft.fft(sparse, axis=1) / np.sqrt(n)
+    else:
+        data = np.fft.ifft(sparse, axis=1) * np.sqrt(n)
+    sols, conv, resid = l1_recover_many(np.where(masks, 0, data), masks, domain,
+                                        max_iter=max_iter)
+    arrays[f"sols{k}"], arrays[f"conv{k}"], arrays[f"resid{k}"] = sols, conv, resid
+    arrays[f"masks{k}"] = masks
+    # the planted signal (the data itself when the sparse vector is its spectrum)
+    arrays[f"truth{k}"] = sparse if domain is L1Domain.MinimizeSignalL1 else data
+    arrays[f"budget{k}"] = max_iter
+
+
 def _engine_batches(count: int, out: Path) -> None:
-    from gabor_recover.recovery import DEFAULT_MAX_ITER, L1Domain, l1_recover_many
+    from gabor_recover.recovery import DEFAULT_MAX_ITER
 
     arrays = {}
     for k in range(count):
         rng = np.random.default_rng([1, k])
         n, rows = int(rng.integers(4, 33)), int(rng.integers(1, 33))
         sparse = _planted(rng, n, rows, max(1, n // 3))
-        masks = np.zeros((rows, n), dtype=bool)
-        for i in range(rows):
-            masks[i, rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)] = True
+        masks = _random_masks(rng, n, rows, n // 2)
         if rows > 2:
             masks[0], masks[1] = True, False
-        domain = list(L1Domain)[k % 2]
-        if domain is L1Domain.MinimizeSignalL1:
-            data = np.fft.fft(sparse, axis=1) / np.sqrt(n)
-        else:
-            data = np.fft.ifft(sparse, axis=1) * np.sqrt(n)
         max_iter = SHORT_BUDGETS[(k // 10) % 5] if k % 10 == 0 else DEFAULT_MAX_ITER
-        sols, conv, resid = l1_recover_many(np.where(masks, 0, data), masks, domain,
-                                            max_iter=max_iter)
-        arrays[f"sols{k}"], arrays[f"conv{k}"], arrays[f"resid{k}"] = sols, conv, resid
-        arrays[f"masks{k}"] = masks
-        # the planted signal (the data itself when the sparse vector is its spectrum)
-        arrays[f"truth{k}"] = sparse if domain is L1Domain.MinimizeSignalL1 else data
-        arrays[f"budget{k}"] = max_iter
+        _engine_batch(arrays, k, sparse, masks, max_iter)
+    # the batches that span several polish calls
+    for k, n in enumerate((*CERTIFIED_WIDTHS, 256), start=count):
+        rng = np.random.default_rng([1, k])
+        if n == 256:
+            sparse = _planted(rng, n, WIDE_ROWS, 8)
+            masks = _random_masks(rng, n, WIDE_ROWS, n // 4)
+        else:
+            sparse, masks = _certified_rows(rng, n)
+        _engine_batch(arrays, k, sparse, masks, DEFAULT_MAX_ITER)
+    arrays["batches"] = count + len(CERTIFIED_WIDTHS) + 1
     np.savez(out / "engine.npz", **arrays)
 
 
@@ -222,9 +264,10 @@ class Tally:
         return drift
 
 
-def compare_engine(base: Path, head: Path, count: int, tally: Tally) -> str:
+def compare_engine(base: Path, head: Path, tally: Tally) -> str:
     with np.load(base / "engine.npz") as b, np.load(head / "engine.npz") as h:
         identical = same_signals = rows = moved = moved_full = 0
+        count = int(h["batches"])
         for k in range(count):
             keys = [f"sols{k}", f"conv{k}", f"resid{k}"]
             rows += b[keys[1]].size
@@ -246,8 +289,9 @@ def compare_engine(base: Path, head: Path, count: int, tally: Tally) -> str:
             if not (all(same) or flips.size):
                 tally.drifted.append(f"engine batch {k} (max_iter={h[f'budget{k}']}): "
                                      f"values {values:.2g}, residuals {resid:.2g}")
-    return (f"engine: {identical}/{count} batches bit-identical ({rows} rows); signals and "
-            f"flags bit-identical in {same_signals}/{count}; residuals moved on {moved} rows, "
+    return (f"engine: {identical}/{count} batches bit-identical ({rows} rows; the last "
+            f"{len(CERTIFIED_WIDTHS) + 1} span several polish calls); signals and flags "
+            f"bit-identical in {same_signals}/{count}; residuals moved on {moved} rows, "
             f"{moved_full} of them fully observed")
 
 
@@ -411,7 +455,7 @@ def main() -> int:
             print(f"{side} {rev} ({lines} src/ lines)")
         base, head = sides["base"][2], sides["head"][2]
         tally = Tally()
-        print(compare_engine(base, head, args.batches, tally))
+        print(compare_engine(base, head, tally))
         print(compare_grids(base, head, tally))
         print(compare_draws(base, head, tally))
         print(compare_masks(base, head, tally))

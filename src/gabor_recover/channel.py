@@ -118,7 +118,7 @@ class ErasureStats:
 _POOL_HASH, _STATE_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_SEED_BLOCK = 4096  # seeds whose states are computed together, so memory is flat in the count
+_SEED_BLOCK = 4096  # seeds hashed together, so memory is flat in the count
 
 
 def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
@@ -138,8 +138,9 @@ def _mix(x, y):
     return value ^ value >> _FOLD
 
 
-def _pcg64_states(seeds: list) -> list:
-    """``(state, inc)`` of ``PCG64(seed)`` for each int seed >= 0: numpy's hash, seeds abreast."""
+def _seed_words(seeds: list) -> np.ndarray:
+    """SeedSequence's ``generate_state(4, uint64)`` for each int seed >= 0, as ``(4, len(seeds))``
+    words: numpy's hash, seeds abreast."""
     words = max(4, -(-max(seeds).bit_length() // 32))  # a seed is its 32-bit words, low first
     pool = np.array([[seed >> 32 * k & 0xFFFFFFFF for seed in seeds] for k in range(words)],
                     dtype=np.uint32)
@@ -153,21 +154,21 @@ def _pcg64_states(seeds: list) -> list:
         mixer = np.where([seed >> 32 * src > 0 for seed in seeds], mixed, mixer)
     # generate_state(4, uint64): the pool cycled twice, each pair of words low first
     out = _hashmix(np.tile(mixer, (2, 1)), _hash_constants(*_STATE_HASH, 9)).astype(np.uint64)
-    s_hi, s_lo, i_hi, i_lo = (out[0::2] | out[1::2] << 32).tolist()
-    mask = (1 << 128) - 1  # PCG64's srandom, modulo 2**128
-    incs = [(hi << 65 | lo << 1 | 1) & mask for hi, lo in zip(i_hi, i_lo)]
-    return [((((hi << 64 | lo) + inc) * _PCG64_MULT + inc) & mask, inc)
-            for hi, lo, inc in zip(s_hi, s_lo, incs)]
+    return out[0::2] | out[1::2] << 32
 
 
 def _streams(seeds):
     """For each int seed >= 0 in order, a Generator in the state ``Generator(PCG64(seed))``
     starts in: the same Generator each time, reseeded as the next is taken, so a seed's
-    draws come first. States are computed ``_SEED_BLOCK`` seeds at a time."""
+    draws come first. Hashes are computed ``_SEED_BLOCK`` seeds at a time, and each seed's
+    128-bit state only as it is taken."""
     bitgen = np.random.PCG64(0)
-    rng, seeds = np.random.Generator(bitgen), iter(seeds)
+    rng, seeds, mask = np.random.Generator(bitgen), iter(seeds), (1 << 128) - 1
     while block := list(itertools.islice(seeds, _SEED_BLOCK)):
-        for state, inc in _pcg64_states(block):
+        for words in _seed_words(block).T:
+            s_hi, s_lo, i_hi, i_lo = words.tolist()
+            inc = (i_hi << 65 | i_lo << 1 | 1) & mask  # PCG64's srandom, modulo 2**128
+            state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & mask
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
             yield rng

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .channel import RecoveryProblem
-from .signal import Signal2D, _int_at_least, _strict_float, _strict_int, signal_payload
+from .signal import Signal2D, _int_at_least, _strict_float, _strict_ints, signal_payload
 from .transforms import TransformKind, _dft, _idft
 
 __all__ = [
@@ -65,7 +65,9 @@ __all__ = [
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_CONV_TOL = 1e-12
 DEFAULT_FEAS_TOL = 1e-9
-_POLISH_CHUNK = 512  # candidate rows polished at once, which bounds the polish's memory
+# candidate row entries polished at once, as max(1, _POLISH_ENTRIES // n) rows of width n,
+# which bounds the polish's memory at every width
+_POLISH_ENTRIES = 1 << 14
 _GRAM_ENTRIES = 1 << 17  # stacked Gram entries solved at once
 
 
@@ -135,18 +137,18 @@ def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
     x = np.zeros(S.shape, dtype=np.complex128)
     ok = np.ones(len(S), dtype=bool)
     size = S.sum(axis=1)
-    for s in np.flatnonzero(np.bincount(size)):
-        group = np.nonzero(size == s)[0]
-        step = max(1, _GRAM_ENTRIES // max(s * s, 1))  # a Gram past the cap solves alone
-        for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
-            sup = np.nonzero(S[rows])[1].reshape(rows.size, s)
-            G = spec[rows[:, None, None], (sup[:, None, :] - sup[:, :, None]) % S.shape[1]]
-            with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):
+        for s in np.flatnonzero(np.bincount(size)):
+            group = np.nonzero(size == s)[0]
+            step = max(1, _GRAM_ENTRIES // max(s * s, 1))  # a Gram past the cap solves alone
+            for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
+                sup = np.nonzero(S[rows])[1].reshape(rows.size, s)
+                G = spec[rows[:, None, None], (sup[:, None, :] - sup[:, :, None]) % S.shape[1]]
                 factor = _umath_linalg.cholesky_lo(G, signature="D->D")
                 sol = _umath_linalg.solve1(G, rhs[rows[:, None], sup], signature="DD->D")
-            good = ~(np.isnan(factor).any(axis=(1, 2)) | np.isnan(sol).any(axis=1))
-            x[rows[good, None], sup[good]] = sol[good]
-            ok[rows] = good
+                good = ~(np.isnan(factor).any(axis=(1, 2)) | np.isnan(sol).any(axis=1))
+                x[rows[good, None], sup[good]] = sol[good]
+                ok[rows] = good
     return x, ok
 
 
@@ -240,7 +242,9 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     The first check comes at iteration 0, before any DR step, and runs at
     every budget: every row is polished on ``z0`` soft-thresholded as a step
     would, and the rows it takes report 0 iterations. The others run 8-step
-    blocks from the untouched ``z0``, with a check after each.
+    blocks from the untouched ``z0``, with a check after each. A check polishes
+    its candidate rows ``_POLISH_ENTRIES // n`` at a time (at least one), and no
+    row's result depends on the batch it is polished in.
     """
     missing = np.asarray(missing_mask, dtype=bool)
     vals = np.asarray(values, dtype=np.complex128)
@@ -268,7 +272,8 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     sols = np.zeros((B, n), dtype=np.complex128)
     sols[full] = z0[full]
     resid = np.zeros(B, dtype=float)
-    resid[full] = _observed_residual(z0[full], b[full], obs[full])
+    if full.any():
+        resid[full] = _observed_residual(z0[full], b[full], obs[full])
     iters = np.zeros(B, dtype=int)
 
     orig = np.nonzero(~conv)[0]
@@ -277,15 +282,16 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
 
     # the first check polishes every row on the iterate a step would form from z0;
     # nothing has moved yet, so nothing settles there
-    it, check_every = 0, 8
+    it, check_every, chunk = 0, 8, max(1, _POLISH_ENTRIES // n)
     x, delta = _shrink(z, sc), np.full(orig.size, np.inf)
     while orig.size:
         done = np.zeros(orig.size, dtype=bool)
         cand = np.nonzero((delta < 0.3 * sc) | (it == 0) | (it >= max_iter))[0]
-        for lo in range(0, cand.size, _POLISH_CHUNK):
-            i = cand[lo:lo + _POLISH_CHUNK]
+        for lo in range(0, cand.size, chunk):
+            i = cand[lo:lo + chunk]
             mag = np.abs(x[i])
-            tier = sum(mag > f * mag.max(axis=1, keepdims=True) for f in (1e-2, 1e-4, 1e-6))
+            peak = mag.max(axis=1, keepdims=True)
+            tier = sum(mag > f * peak for f in (1e-2, 1e-4, 1e-6))
             took, polished, pres = _polish(tier, bb[i], oo[i], feas[i])
             i = i[took]
             sols[orig[i]], resid[orig[i]] = polished[took], pres[took]
@@ -338,11 +344,11 @@ def l1_recover_1d(observed, missing, n: int, domain: L1Domain = L1Domain.Minimiz
     this is the row that polish certifies, or None where it does not.
     """
     n = _int_at_least(n, "n")
-    missing = set(_strict_int(m, "missing position") for m in missing)
+    missing = _strict_ints(missing, "missing position")
     if any(not (0 <= m < n) for m in missing):
         raise ValueError("missing positions must lie in range(n)")
     expected = set(range(n)) - missing
-    keys = set(_strict_int(k, "observed key") for k in observed.keys())
+    keys = _strict_ints(observed.keys(), "observed key")
     if keys != expected:
         raise ValueError("observed must cover exactly the complement of missing")
 
@@ -479,13 +485,12 @@ def uniqueness_oracle_1d(support, missing, n: int) -> bool:
 
     Independent of the L1 solver, it checks it.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    support = sorted(int(s) for s in set(support))
-    missing = set(int(m) for m in missing)
+    n = _int_at_least(n, "n")
+    support = sorted(_strict_ints(support, "support position"))
+    missing = _strict_ints(missing, "missing position")
     if support and not (0 <= support[0] and support[-1] < n):
         raise ValueError("support positions must lie in range(n)")
-    if any(not (0 <= m < n) for m in missing):
+    if missing and not (0 <= min(missing) and max(missing) < n):
         raise ValueError("missing positions must lie in range(n)")
     if not support:
         return True

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,20 @@ class TestStreams:
         seeds = [k << k % 190 for k in range(4100)]
         states = [rng.bit_generator.state for rng in _streams(seeds)]
         assert states == [np.random.PCG64(seed).state for seed in seeds]
+
+    def test_a_block_holds_its_hashes_as_arrays(self):
+        # between yields a full block keeps its seeds and their (4, 4096) hash words;
+        # 4096 ready (state, inc) pairs of 128-bit ints would hold about 0.6 MB more
+        seeds = range(2**64, 2**64 + 4096)
+        tracemalloc.start()
+        try:
+            rngs = _streams(seeds)
+            before = tracemalloc.get_traced_memory()[0]
+            next(rngs)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.5 * 2**20
 
     def test_draws_are_fresh_generators_draws(self):
         # the calls test signals make; the last integers() call leaves half a 64-bit

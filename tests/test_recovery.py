@@ -247,6 +247,28 @@ class TestUniquenessOracle:
         with pytest.raises(ValueError):
             uniqueness_oracle_1d({0}, {-1}, 5)
 
+    # a position is never truncated or read from a bool, and the width is an integer
+    @pytest.mark.parametrize("supp, miss, n, name", [
+        ({1.5}, set(), 4, "support position"),
+        ({0}, {True}, 4, "missing position"),
+        ({0, 1}, {2.7}, 4, "missing position"),
+        ({0}, {1}, 4.0, "n"),
+        ({0}, {1}, True, "n"),
+        ({0}, {1}, 0, "n"),
+    ], ids=["float-support", "bool-missing", "float-missing", "float-n", "bool-n", "zero-n"])
+    def test_reads_positions_and_width_strictly(self, supp, miss, n, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            uniqueness_oracle_1d(supp, miss, n)
+
+    def test_numpy_integers_read_as_their_ints(self):
+        # {0, 2} against {0, 2} at n=4 is the comb pair, not unique; {0} against {1} is
+        for supp, miss, n in (({0, 2}, {0, 2}, 4), ({0}, {1}, 4), ({0, 3}, {0, 2, 3, 4}, 6)):
+            as_numpy = ({np.int64(s) for s in supp}, {np.int32(m) for m in miss}, np.int64(n))
+            mixed = ({np.uint8(s) if s else s for s in supp}, {float(m) for m in miss}, n)
+            expected = uniqueness_oracle_1d(supp, miss, n)
+            assert uniqueness_oracle_1d(*as_numpy) is expected
+            assert uniqueness_oracle_1d(*mixed) is expected
+
 
 class TestL1Recover1d:
     def test_nothing_missing_inverts_spectrum(self, rng):
@@ -663,6 +685,38 @@ class TestPolish:
             np.where(masks, 0, row_spectrum_many(planted)), masks)
         assert conv.all() and iters.tolist() == [0, 8]
         assert np.allclose(sols, planted, atol=1e-12)
+
+    @pytest.mark.parametrize("n, rows", [(10, 3000), (256, 300)])
+    def test_results_do_not_depend_on_the_polish_batch(self, monkeypatch, n, rows):
+        # a call polishes at most _POLISH_ENTRIES // n candidate rows, and every row
+        # solves as it would alone, so one row a call gives the same bytes
+        rng = np.random.default_rng(n)
+        sparse = np.zeros((rows, n), dtype=complex)
+        masks = np.zeros((rows, n), dtype=bool)
+        for i in range(rows):
+            e = int(rng.integers(1, 5 if n == 10 else 9))
+            m = int(rng.integers(0, -(-n // (2 * e)))) if n == 10 else int(rng.integers(0, 65))
+            supp = rng.choice(n, size=e, replace=False)
+            sparse[i, supp] = rng.normal(size=e) + 1j * rng.normal(size=e)
+            masks[i, rng.choice(n, size=m, replace=False)] = True
+        values = np.where(masks, 0, row_spectrum_many(sparse))
+        real_polish, calls = recovery._polish, []
+
+        def spy(tier, *rest):
+            calls.append(len(tier))
+            return real_polish(tier, *rest)
+
+        monkeypatch.setattr(recovery, "_polish", spy)
+        batched = recovery._solve_l1_batch(values, masks)
+        cap = recovery._POLISH_ENTRIES // n
+        assert max(calls) == cap and len(calls) > 2
+        calls.clear()
+        monkeypatch.setattr(recovery, "_POLISH_ENTRIES", n)
+        alone = recovery._solve_l1_batch(values, masks)
+        assert set(calls) == {1}
+        assert batched[1].all() and np.allclose(batched[0], sparse, atol=1e-9)
+        for a, b in zip(batched, alone):
+            assert a.tobytes() == b.tobytes()
 
     def test_exactly_dependent_support_is_not_certified(self):
         # on the odd rows of n=8, column 7 is minus column 3; a rank cutoff of
