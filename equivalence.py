@@ -68,7 +68,7 @@ DRAW_SHAPES = ((4, 4, 2), (8, 8, 3), (16, 8, 7), (12, 4, 12), (32, 16, 4), (64, 
 DRAW_SEEDS = 200
 MASK_SEEDS = (*range(DRAW_SEEDS), *range(2**32 - 8, 2**32 + 8), *range(2**64 - 8, 2**64 + 8))
 MASK_THETA = 0.3
-CERTIFIED_WIDTHS = (9, 10)  # every certified pair, about 5,000 and 11,700 rows
+CERTIFIED_WIDTHS = (9, 10)  # every certified pair: 6,828 and 11,672 rows
 WIDE_ROWS = 300  # rows at n = 256, about five polish calls
 
 # every experiment mode; the two-stage runs reach the column stage, and the

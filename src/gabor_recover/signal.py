@@ -87,7 +87,7 @@ def _strict_float(value, name: str) -> float:
 
 def _int_at_least(value, name: str, least: int = 1) -> int:
     """``value`` as a plain ``int``: an integer, numpy's too, never a bool, and ``>= least``."""
-    # a plain int skips the Integral check, which costs about 1 us
+    # a plain int skips the Integral check, an abstract-base-class lookup that is slow per call
     if type(value) is not int and (not isinstance(value, numbers.Integral)
                                    or isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
