@@ -165,13 +165,14 @@ def _streams(seeds):
     bitgen = np.random.PCG64(0)
     rng, seeds, mask = np.random.Generator(bitgen), iter(seeds), (1 << 128) - 1
     while block := list(itertools.islice(seeds, _SEED_BLOCK)):
-        for words in _seed_words(block).T:
-            s_hi, s_lo, i_hi, i_lo = words.tolist()
-            inc = (i_hi << 65 | i_lo << 1 | 1) & mask  # PCG64's srandom, modulo 2**128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & mask
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            yield rng
+        words = _seed_words(block)
+        for lo in range(0, len(block), 256):  # 256 seeds' words become Python ints at a time
+            for s_hi, s_lo, i_hi, i_lo in words[:, lo:lo + 256].T.tolist():
+                inc = (i_hi << 65 | i_lo << 1 | 1) & mask  # PCG64's srandom, modulo 2**128
+                state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & mask
+                bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+                yield rng
 
 
 def _sample_masks(dims: GridDims, theta: float, rngs, count: int) -> np.ndarray:
