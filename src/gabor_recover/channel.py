@@ -118,7 +118,7 @@ class ErasureStats:
 _POOL_HASH, _STATE_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_SEED_BLOCK = 4096  # seeds hashed together, so memory is flat in the count
+_SEED_BLOCK = 2048  # seeds hashed together, so memory is flat in the count
 
 
 def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
