@@ -22,8 +22,9 @@ imports that side's ``src/``. Both sides get the same inputs:
   ``(n, t, e_max)`` and ``DRAW_SEEDS`` seeds each;
 * ``sample_erasure`` masks at the same ``(n, t)`` and ``MASK_SEEDS``, which
   also run across ``2**32`` and ``2**64``, where a seed grows a 32-bit word;
-* a fixed set of CLI runs covering every experiment mode, driven by flags, and
-  one two-stage run that reads a config file and overrides one of its fields.
+* a fixed set of CLI runs covering every experiment mode, driven by flags, one
+  of them a row-recovery sweep that no row's certificate holds in, and one
+  two-stage run that reads a config file and overrides one of its fields.
 
 A decision is a converged flag, a row status, a guarantee flag, whether a
 report recovered anything, its stage, a draw's support, a whole mask, and
@@ -71,8 +72,9 @@ MASK_THETA = 0.3
 CERTIFIED_WIDTHS = (9, 10)  # every certified pair: 6,828 and 11,672 rows
 WIDE_ROWS = 300  # rows at n = 256, about five polish calls
 
-# every experiment mode; the two-stage runs reach the column stage, and the
-# tail-bounds runs hold rows with and without a valid bound, n up to 1e5
+# every experiment mode; the two-stage runs reach the column stage, the
+# tail-bounds runs hold rows with and without a valid bound, n up to 1e5, and
+# rows_uncertified is past the row certificate, where no row reaches the engine
 CLI_RUNS = {
     "mmax": ["mmax-sweep", "--t", "16", "--theta", "0.1", "--e-max", "2", "--trials", "2000",
              "--sweep", "64,256"],
@@ -84,6 +86,8 @@ CLI_RUNS = {
                      "--sweep", "16,64,1000"],
     "rows": ["row-recovery", "--t", "4", "--theta", "0.1", "--e-max", "2", "--trials", "60",
              "--sweep", "16,32"],
+    "rows_uncertified": ["row-recovery", "--t", "8", "--theta", "0.2", "--e-max", "32",
+                         "--trials", "20", "--sweep", "64,127"],
     "two_skewed": ["two-stage", "--t", "8", "--theta", "0.25", "--e-max", "3", "--trials", "60",
                    "--sweep", "32,64", "--profile-shape", "SkewedRows"],
     "two_uniform": ["two-stage", "--t", "8", "--theta", "0.3", "--e-max", "2", "--trials", "60",

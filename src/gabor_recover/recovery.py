@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -256,8 +255,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     tol = _strict_float(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
+    max_iter = _int_at_least(max_iter, "max_iter", 0)
     obs = ~missing
     b = np.where(obs, vals, 0.0 + 0.0j)
     if not np.all(np.isfinite(b)):
@@ -512,22 +510,27 @@ def _recover_many(b: np.ndarray, mask: np.ndarray, supports: Optional[np.ndarray
 
     ``b`` (zero where missing) and ``mask`` are ``(G, t, n)``, ``supports`` the row
     supports ``(G, t)`` or None, and ``col_maxes`` each grid's column bound (at
-    least 1, or None to attempt unbounded) or None for no column stage. All rows
-    share one engine call, and the columns of grids that attempt the repair one
-    more; the engine solves each as it would alone. Returns per grid the signals
-    zeroed off rows ``ok``, ``ok``, their max residual (the engine's, recomputed where
-    columns replaced rows), both guarantee flags and whether the column stage ran.
+    least 1, or None to attempt unbounded) or None for no column stage. Given
+    supports, the certified rows share one engine call and the others are Failed
+    unsolved; without, every row goes. The columns of grids that attempt the
+    repair share one more call; the engine solves each as it would alone. Returns
+    per grid the signals zeroed off rows ``ok``, ``ok``, their max residual (the
+    engine's, recomputed where columns replaced rows), both guarantee flags and
+    whether the column stage ran.
     """
     grids, t, n = mask.shape
-    out, converged, resid = l1_recover_many(b.reshape(-1, n), mask.reshape(-1, n),
-                                            tol=tol, max_iter=max_iter)
-    out, resid, m_counts = out.reshape(mask.shape), resid.reshape(grids, t), mask.sum(axis=2)
-    row_ok = converged.reshape(grids, t) & (m_counts < n)
+    if b.shape != mask.shape:
+        raise ValueError("values and missing mask must share a (G, t, n) shape")
+    m_counts = mask.sum(axis=2)
     # erasure-free rows are certified unconditionally, others by their supports
     cert = m_counts == 0
     if supports is not None:
         cert |= ds_condition(supports, m_counts, n)
-        row_ok &= cert
+    solve = cert | (supports is None)
+    out, converged, resid = np.zeros(b.shape, complex), np.zeros_like(cert), np.zeros(cert.shape)
+    out[solve], converged[solve], resid[solve] = l1_recover_many(b[solve], mask[solve], tol=tol,
+                                                                 max_iter=max_iter)
+    row_ok = converged & (m_counts < n)
     row_guarantee = ~(row_ok & ~cert).any(axis=1)
     certified = column_stage = np.zeros(grids, dtype=bool)
     repaired = np.zeros_like(row_ok)
@@ -580,12 +583,13 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
     """Recover every row of a row-transform grid independently.
 
     Each row with erasures is solved by signal-side L1 minimization against
-    its surviving transform values. With a support profile supplied, a row is
-    Recovered only when the solve converged and the row's certificate
-    ``support * missing < n/2`` holds; without one, any converged feasible
-    row counts as Recovered (and the row-stage guarantee flag reflects that
-    only erasure-free rows were certified). Rows with nothing observed are
-    Failed. This is :func:`_recover_many` on one grid.
+    its surviving transform values. With a support profile supplied, only rows
+    whose certificate ``support * missing < n/2`` holds are solved, and each is
+    Recovered when its solve converged; the others are Failed without a solve.
+    Without one, every row is solved and any converged feasible row counts as
+    Recovered (and the row-stage guarantee flag reflects that only erasure-free
+    rows were certified). Rows with nothing observed are Failed. This is
+    :func:`_recover_many` on one grid.
     """
     return _report(problem, profile, None, tol, max_iter)
 

@@ -37,14 +37,9 @@ class GridDims:
     t: int
 
     def __post_init__(self):
-        for name, value in (("n", self.n), ("t", self.t)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"grid dimension {name} must be an integer, got {value!r}")
-        if self.n < 1 or self.t < 1:
-            raise ValueError(f"grid dimensions must be positive, got n={self.n}, t={self.t}")
-        # normalize numpy ints so serialization stays plain
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "t", int(self.t))
+        for name in ("n", "t"):  # plain ints, so serialization stays plain
+            value = _int_at_least(getattr(self, name), f"grid dimension {name}")
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:

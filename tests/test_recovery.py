@@ -837,20 +837,59 @@ class TestRecoverRows:
             miss = {x for (x, yy) in pat.missing if yy == y}
             assert uniqueness_oracle_1d(supp, miss, 64) is True
 
-    def test_profile_gates_uncertified_rows(self):
+    def test_profile_gates_uncertified_rows(self, monkeypatch):
         # one row, comb signal, spectrum missing on its own support pattern:
         # converged answer exists but the certificate fails, so the profile
-        # demotes the row
+        # fails the row without sending it to the engine
         dims = GridDims(n=4, t=1)
         sig = Signal2D(dims=dims, values=np.array([[1.0, 0, 1.0, 0]], dtype=complex))
         pat = ErasurePattern.from_missing(dims, [(0, 0), (2, 0)])
         prob = apply_erasure(gabor_row(sig), pat)
+        solved = []
+
+        def spy(values, masks, *args, **kwargs):
+            solved.append(len(masks))
+            return l1_recover_many(values, masks, *args, **kwargs)
+
+        monkeypatch.setattr(recovery, "l1_recover_many", spy)
         gated = recover_rows(prob, profile=support_profile(sig))
         assert gated.row_status == (RowStatus.Failed,)
         assert gated.recovered is None
         free = recover_rows(prob)
         assert free.row_status == (RowStatus.Recovered,)
         assert free.guarantee_held == (False,)
+        assert solved == [0, 1]
+
+    def test_profile_solves_exactly_the_certified_rows(self, rng, monkeypatch):
+        # (support, missing) per row: 1*4, 3*4, 2*3, 4*6 and 5*0 against n/2 = 8, so rows
+        # 0, 2 and 4 (erasure-free) are certified and rows 1 and 3 are not
+        dims = GridDims(n=16, t=5)
+        supports = ([3], [1, 5, 11], [0, 9], [2, 6, 7, 13], [1, 4, 8, 10, 15])
+        missing = ([0, 5, 9, 14], [2, 3, 7, 12], [1, 6, 11], [0, 2, 4, 8, 10, 15], [])
+        values = np.zeros((dims.t, dims.n), dtype=complex)
+        for y, sup in enumerate(supports):
+            values[y, sup] = rng.normal(size=len(sup)) + 1j * rng.normal(size=len(sup))
+        sig = Signal2D(dims=dims, values=values)
+        pat = ErasurePattern.from_missing(dims, [(x, y) for y, m in enumerate(missing) for x in m])
+        prob = apply_erasure(gabor_row(sig), pat)
+        sent = []
+
+        def spy(values, masks, *args, **kwargs):
+            sent.append((values.copy(), masks.copy()))
+            return l1_recover_many(values, masks, *args, **kwargs)
+
+        monkeypatch.setattr(recovery, "l1_recover_many", spy)
+        gated = recover_rows(prob, profile=support_profile(sig))
+        free = recover_rows(prob)
+        cert = [True, False, True, False, True]
+        (values, masks), _ = sent
+        assert masks.tolist() == pat.mask[cert].tolist()
+        assert values.tolist() == np.where(pat.mask, 0, prob.observed_values)[cert].tolist()
+        assert [s is RowStatus.Recovered for s in gated.row_status] == cert
+        for y in np.flatnonzero(cert):
+            assert free.row_status[y] is RowStatus.Recovered
+            assert gated.recovered.values[y].tobytes() == free.recovered.values[y].tobytes()
+        assert not gated.recovered.values[~np.array(cert)].any()
 
     def test_mismatched_profile_rejected_before_solving(self, rng, monkeypatch):
         dims = GridDims(n=16, t=4)
