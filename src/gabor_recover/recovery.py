@@ -510,13 +510,12 @@ def _recover_many(b: np.ndarray, mask: np.ndarray, supports: Optional[np.ndarray
 
     ``b`` (zero where missing) and ``mask`` are ``(G, t, n)``, ``supports`` the row
     supports ``(G, t)`` or None, and ``col_maxes`` each grid's column bound (at
-    least 1, or None to attempt unbounded) or None for no column stage. Given
-    supports, the certified rows share one engine call and the others are Failed
-    unsolved; without, every row goes. The columns of grids that attempt the
-    repair share one more call; the engine solves each as it would alone. Returns
-    per grid the signals zeroed off rows ``ok``, ``ok``, their max residual (the
-    engine's, recomputed where columns replaced rows), both guarantee flags and
-    whether the column stage ran.
+    least 1, or None to attempt unbounded) or None for no column stage. One engine call
+    solves every row, or given supports only the certified ones (the rest fail
+    unsolved), and one more the columns of grids that attempt the repair; the engine
+    solves each as it would alone. Returns per grid the signals zeroed off rows ``ok``,
+    ``ok``, their max residual (the engine's, recomputed where columns replaced rows),
+    both guarantee flags and whether the column stage ran.
     """
     grids, t, n = mask.shape
     if b.shape != mask.shape:
@@ -584,12 +583,11 @@ def recover_rows(problem: RecoveryProblem, profile=None, tol: float = DEFAULT_FE
 
     Each row with erasures is solved by signal-side L1 minimization against
     its surviving transform values. With a support profile supplied, only rows
-    whose certificate ``support * missing < n/2`` holds are solved, and each is
-    Recovered when its solve converged; the others are Failed without a solve.
-    Without one, every row is solved and any converged feasible row counts as
-    Recovered (and the row-stage guarantee flag reflects that only erasure-free
-    rows were certified). Rows with nothing observed are Failed. This is
-    :func:`_recover_many` on one grid.
+    whose certificate ``support * missing < n/2`` holds are solved, and one is
+    Recovered when its solve converged; the rest are Failed unsolved. Without
+    one, any converged feasible row counts as Recovered (and the row-stage
+    guarantee flag reflects that only erasure-free rows were certified). Rows
+    with nothing observed are Failed. This is :func:`_recover_many` on one grid.
     """
     return _report(problem, profile, None, tol, max_iter)
 
