@@ -881,15 +881,15 @@ class TestRecoverRows:
         monkeypatch.setattr(recovery, "l1_recover_many", spy)
         gated = recover_rows(prob, profile=support_profile(sig))
         free = recover_rows(prob)
-        cert = [True, False, True, False, True]
-        (values, masks), _ = sent
+        cert = np.array([True, False, True, False, True])
+        (solved, masks), _ = sent
         assert masks.tolist() == pat.mask[cert].tolist()
-        assert values.tolist() == np.where(pat.mask, 0, prob.observed_values)[cert].tolist()
-        assert [s is RowStatus.Recovered for s in gated.row_status] == cert
+        assert solved.tolist() == np.where(pat.mask, 0, prob.observed_values)[cert].tolist()
+        assert [s is RowStatus.Recovered for s in gated.row_status] == cert.tolist()
         for y in np.flatnonzero(cert):
             assert free.row_status[y] is RowStatus.Recovered
             assert gated.recovered.values[y].tobytes() == free.recovered.values[y].tobytes()
-        assert not gated.recovered.values[~np.array(cert)].any()
+        assert not gated.recovered.values[~cert].any()
 
     def test_mismatched_profile_rejected_before_solving(self, rng, monkeypatch):
         dims = GridDims(n=16, t=4)
