@@ -19,7 +19,9 @@ imports that side's ``src/``. Both sides get the same inputs:
   column support bound None, 1, 2 or t) through ``recover_rows`` and
   ``recover_two_stage``;
 * ``generate_test_signal`` draws of both profile shapes at several
-  ``(n, t, e_max)`` and ``DRAW_SEEDS`` seeds each;
+  ``(n, t, e_max)`` and ``DRAW_SEEDS`` seeds each, and the same seeds drawn
+  again as one ``experiments._test_signals`` stack per shape, as a trial chunk
+  draws them;
 * ``sample_erasure`` masks at the same ``(n, t)`` and ``MASK_SEEDS``, which
   also run across ``2**32`` and ``2**64``, where a seed grows a 32-bit word;
 * a fixed set of CLI runs covering every experiment mode, driven by flags, one
@@ -205,14 +207,19 @@ def _grids(count: int, out: Path) -> None:
 
 
 def _draws(out: Path) -> None:
-    from gabor_recover.experiments import ProfileShape, generate_test_signal
+    from gabor_recover.channel import _streams
+    from gabor_recover.experiments import ProfileShape, _test_signals, generate_test_signal
     from gabor_recover.signal import GridDims
 
-    np.savez(out / "draws.npz", **{
-        f"{shape.value}_{n}_{t}_{e_max}": np.array(
-            [generate_test_signal(GridDims(n=n, t=t), e_max, seed, shape).values
-             for seed in range(DRAW_SEEDS)])
-        for shape in ProfileShape for n, t, e_max in DRAW_SHAPES})
+    draws = {}
+    for shape in ProfileShape:
+        for n, t, e_max in DRAW_SHAPES:
+            dims, key = GridDims(n=n, t=t), f"{shape.value}_{n}_{t}_{e_max}"
+            draws[key] = np.array([generate_test_signal(dims, e_max, seed, shape).values
+                                   for seed in range(DRAW_SEEDS)])
+            draws[f"stacked_{key}"] = _test_signals(dims, e_max, _streams(range(DRAW_SEEDS)),
+                                                    DRAW_SEEDS, shape)
+    np.savez(out / "draws.npz", **draws)
 
 
 def _masks(out: Path) -> None:
@@ -342,7 +349,8 @@ def compare_draws(base: Path, head: Path, tally: Tally) -> str:
             moved = np.flatnonzero(((np.abs(bk) > 1e-9) != (np.abs(hk) > 1e-9)).any(axis=(1, 2)))
             tally.changed += [f"draw {key} seed {seed}: support" for seed in moved]
     return (f"draws: {identical}/{len(b.files) * DRAW_SEEDS} bit-identical "
-            f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes)")
+            f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes, "
+            f"one seed at a time and stacked)")
 
 
 def compare_masks(base: Path, head: Path, tally: Tally) -> str:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gabor_recover import channel
 from gabor_recover.channel import (
     ErasurePattern,
     ErasureStats,
     _sample_masks,
+    _seed_words,
     _streams,
     apply_erasure,
     erasure_stats,
@@ -180,6 +182,18 @@ class TestStreams:
     def test_state_is_pcg64s_at_the_seed(self, seed):
         (rng,) = _streams([seed])
         assert rng.bit_generator.state == np.random.PCG64(seed).state
+
+    @pytest.mark.parametrize("count", [1, channel._SEED_FEW - 1, channel._SEED_FEW])
+    def test_a_few_seeds_hash_as_a_block_does(self, count):
+        # below _SEED_FEW seeds numpy's SeedSequence hashes each seed; its words must be
+        # the block kernel's, seeds of one to three 32-bit words past 2**64 included
+        seeds = [0, 7, 2**32 - 1, 2**32 + 1, 2**64 + 5, 2**73 + 12345, 2**33, 5][:count]
+        words = _seed_words(seeds)
+        for k, seed in enumerate(seeds):
+            assert np.array_equal(words[:, k],
+                                  np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        states = [rng.bit_generator.state for rng in _streams(seeds)]
+        assert states == [np.random.PCG64(seed).state for seed in seeds]
 
     def test_states_across_a_block_boundary(self):
         # 4100 seeds of 0 to 7 words in one run, two blocks of 2048 and one of 4

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,25 @@ from gabor_recover.probbounds import prob_mmax_below
 from gabor_recover.recovery import RecoveryStage, RowStatus, recover_rows, recover_two_stage
 from gabor_recover.signal import GridDims, Signal2D, column_support_max, support, support_profile
 from gabor_recover.transforms import gabor_col, gabor_row
+
+
+def skewed_one_column_at_a_time(dims, e_max, seed):
+    """SkewedRows as first vectorised: one column at a time, in numpy scalar products."""
+    n, t = dims.n, dims.t
+    levels = (np.sort(np.arange(e_max) % (t.bit_length() - 1)) + 1).tolist()
+    y = np.arange(t)
+    grid = np.zeros((t, n), dtype=np.complex128)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cols = rng.choice(n, size=e_max, replace=False)
+    dense_row = int(rng.integers(t))
+    for col, level in zip(cols, levels):
+        step = t >> level
+        freq = int(rng.integers(t))
+        amp = np.exp(2j * np.pi * rng.random())
+        pair = amp * np.exp(-2j * np.pi * dense_row / (1 << level))
+        grid[:, col] = (amp * np.exp(2j * np.pi * freq * y / t)
+                        + pair * np.exp(2j * np.pi * ((freq + step) % t) * y / t))
+    return grid
 
 
 def make_config(**overrides):
@@ -183,6 +204,18 @@ class TestGenerateTestSignal:
         assert stack.shape == (4, 8, 12)
         for seed, grid in zip(seeds, stack):
             assert generate_test_signal(dims, 4, seed, shape).values.tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("n, t, e_max", [(32, 8, 3), (256, 8, 5), (16, 16, 7), (5, 4, 4)],
+                             ids=["32x8", "256x8-extra-columns", "16x16-extra-columns",
+                                  "5x4-e-twice-the-levels"])
+    def test_skewed_stack_matches_one_column_at_a_time(self, n, t, e_max):
+        # the stack builds every wave in one broadcast; each must equal the scalar-product
+        # column loop bit for bit, which an array product amp * rot does not at t >= 8
+        dims, seeds = GridDims(n=n, t=t), range(300, 500)
+        stack = experiments._test_signals(dims, e_max, _streams(seeds), len(seeds),
+                                          ProfileShape.SkewedRows)
+        for seed, grid in zip(seeds, stack):
+            assert grid.tobytes() == skewed_one_column_at_a_time(dims, e_max, seed).tobytes()
 
     @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
     @pytest.mark.parametrize("seed", [None, True, np.bool_(True), 3.0, 2.5, "3", -1],
@@ -364,7 +397,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiments, "_run_trials", run_trials)
         _, records = run_experiment(cfg)
-        # a sweep chunk keeps 1-byte masks: 16 times the entries of a recovery chunk, and
+        # a sweep chunk keeps 1-byte masks: 8 times the entries of a recovery chunk, and
         # 150 trials end in a partial chunk
         assert chunks == [64, 64, 22]
         expected = []
@@ -386,6 +419,20 @@ class TestRunExperiment:
             written.append(emit_results(summary, records, tmp_path / name))
         for pa, pb in zip(*written):
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_two_stage_chunk_memory_stays_small(self):
+        # 32 trials at n=256, t=8 are eight chunks of four grids; chunks twice as deep
+        # held about 5.7 MiB at their peak
+        cfg = make_config(dims=GridDims(n=256, t=8), theta=1 / 6, e_max_target=3, trials=32,
+                          mode=ExperimentMode.TwoStage, profile_shape=ProfileShape.SkewedRows)
+        run_experiment(make_config(trials=1, mode=ExperimentMode.TwoStage))  # first-call set-up
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_sweep_rejects_skewed_rows_it_could_not_draw(self):
         # SkewedRows needs a power-of-two t; sweeps draw no signal but still check
@@ -437,6 +484,17 @@ class TestEmitResults:
         assert lines[1].startswith("0,3,1,2,false,")
         assert lines[2].startswith("1,0,0,4,true,")
         assert lines[3].startswith("2,1,0,4,true,")
+
+    def test_trial_rows_are_their_cells(self, tmp_path):
+        # each row is written in one format string, and must read as _cell writes a field:
+        # 0.0 as 0 and 1e-300 in full, where repr would write 0.0 and 1e-300 alike
+        records = [TrialRecord(k, 3, 1, 2, k % 2 == 0, res) for k, res in enumerate(
+            [0.0, -0.0, 1e-300, 0.1, 1 / 3, 2.5e20, 123456789.125, math.nan, math.inf,
+             np.float64(7e-17)])]
+        summary, _ = run_experiment(make_config(trials=1))
+        csv_path = emit_results(summary, records, tmp_path)[0]
+        assert csv_path.read_text().splitlines()[1:] == [
+            ",".join(map(experiments._cell, record)) for record in records]
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg = make_config(trials=12, theta=0.25)
