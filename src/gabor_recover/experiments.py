@@ -213,7 +213,7 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
         draws += [(rng.integers(t), rng.random()) for _ in range(e_max_target)]
     draws = np.array(draws).reshape(count, e_max_target, 2)
     freq, amp = draws[..., 0].astype(int), np.exp(2j * np.pi * draws[..., 1])
-    rot = np.exp(-2j * np.pi * np.array(dense_rows, dtype=int)[:, None] / (1 << levels))
+    rot = np.exp(-2j * np.pi * np.array(dense_rows)[:, None] / (1 << levels))
     # amp * rot as numpy's scalar product rounds it; the array product may fuse a multiply-add
     pair = np.empty_like(amp)
     pair.real = amp.real * rot.real - amp.imag * rot.imag
@@ -421,7 +421,8 @@ def _cell(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-# a TrialRecord as _cell writes its fields, in one format string: the flag goes in as a word
+# a TrialRecord's CSV row as _cell writes its fields, in one format string (pass the flag as
+# true/false); repr would write a zero residual as 0.0 where _cell writes 0
 _TRIAL_ROW = "{},{},{},{},{},{:.17g}\n"
 
 

@@ -30,7 +30,8 @@ from gabor_recover.transforms import gabor_col, gabor_row
 
 
 def skewed_one_column_at_a_time(dims, e_max, seed):
-    """SkewedRows as first vectorised: one column at a time, in numpy scalar products."""
+    """A SkewedRows grid drawn one column at a time with numpy scalar products: the stack's
+    reference."""
     n, t = dims.n, dims.t
     levels = (np.sort(np.arange(e_max) % (t.bit_length() - 1)) + 1).tolist()
     y = np.arange(t)
