@@ -54,7 +54,7 @@ __all__ = [
 EXACT_REL_TOL = 1e-6
 
 # a chunk of trials holds 8192 complex grid entries (128 KiB), or 8 times as many entries of
-# 1-byte sweep masks (64 KiB); 16384 entries ran faster but held 14-15% more peak RSS
+# 1-byte sweep masks (64 KiB); 16384 entries raised the skewed benchmark's peak RSS by 13%
 _CHUNK_ENTRIES = 8192
 
 WILSON_Z_95 = 1.959963984540054

@@ -186,7 +186,7 @@ class TestStreams:
     @pytest.mark.parametrize("count", [1, channel._SEED_FEW - 1, channel._SEED_FEW])
     def test_a_few_seeds_hash_as_a_block_does(self, count):
         # below _SEED_FEW seeds numpy's SeedSequence hashes each seed; its words must be
-        # the block kernel's, seeds of one to three 32-bit words past 2**64 included
+        # the block kernel's, for seeds of one to three 32-bit words
         seeds = [0, 7, 2**32 - 1, 2**32 + 1, 2**64 + 5, 2**73 + 12345, 2**33, 5][:count]
         words = _seed_words(seeds)
         for k, seed in enumerate(seeds):

@@ -422,8 +422,8 @@ class TestRunExperiment:
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_two_stage_chunk_memory_stays_small(self):
-        # 32 trials at n=256, t=8 are eight chunks of four grids; chunks twice as deep
-        # held about 5.7 MiB at their peak
+        # 32 trials at n=256, t=8 are eight chunks of four grids, about 3.2 MiB at the
+        # peak; chunks half as deep read 1.6 MiB and chunks twice as deep 6.2 MiB
         cfg = make_config(dims=GridDims(n=256, t=8), theta=1 / 6, e_max_target=3, trials=32,
                           mode=ExperimentMode.TwoStage, profile_shape=ProfileShape.SkewedRows)
         run_experiment(make_config(trials=1, mode=ExperimentMode.TwoStage))  # first-call set-up
@@ -487,8 +487,8 @@ class TestEmitResults:
         assert lines[3].startswith("2,1,0,4,true,")
 
     def test_trial_rows_are_their_cells(self, tmp_path):
-        # each row is written in one format string, and must read as _cell writes a field:
-        # 0.0 as 0 and 1e-300 in full, where repr would write 0.0 and 1e-300 alike
+        # each row is written in one format string, and must read as _cell writes each
+        # field: a zero residual as 0, where repr writes 0.0
         records = [TrialRecord(k, 3, 1, 2, k % 2 == 0, res) for k, res in enumerate(
             [0.0, -0.0, 1e-300, 0.1, 1 / 3, 2.5e20, 123456789.125, math.nan, math.inf,
              np.float64(7e-17)])]
