@@ -119,8 +119,8 @@ _POOL_HASH, _STATE_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 _SEED_BLOCK = 2048  # seeds hashed together, so memory is flat in the count
-# a block of fewer seeds is hashed one seed at a time by numpy: about 10.5 us a seed against
-# the block kernel's 85-95 us for up to 12, even at 8-10 seeds (2 vCPU, numpy 2.4.6)
+# fewer seeds are hashed one by one by numpy's SeedSequence, about 10.5 us a seed; the block
+# kernel takes 85-95 us for up to 12 seeds, so the two meet at 8-10 (2 vCPU, numpy 2.4.6)
 _SEED_FEW = 8
 
 
