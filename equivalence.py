@@ -34,17 +34,18 @@ every integer, boolean, string or empty cell of an artifact. The script
 prints each side's ``src/`` line count (newlines in its ``.py`` files, as
 ``wc -l`` counts them); the counts of bit-identical engine outputs (and of
 engine batches whose signals and flags alone are, with the rows whose
-residual moved and how many of them are fully observed), byte-identical
+residual moved and how many of them are fully observed, and of engine
+batches whose rows each exit at the same iteration), byte-identical
 ``report_to_json`` strings, bit-identical draws and masks and byte-identical
 artifacts; the largest drift of values (engine signals, recovered grid values and draws) apart from that
 of residuals (engine and report), with artifact float cells on a line of
 their own; every changed decision; and every engine batch or grid report
 whose bytes differ with no decision changed, with its largest drift of each
-kind. An engine or grid change names its ``max_iter`` and its direction: a
-converged flag comes with the head's relative error against the planted
-signal, and a row status with its counts of Failed->Recovered and
-Recovered->Failed rows. It exits 1 when any decision changed, and 2 when a
-side fails to run.
+kind, and every engine row that exits at another iteration. An engine or
+grid change names its ``max_iter`` and its direction: a converged flag comes
+with the head's relative error against the planted signal, and a row status
+with its counts of Failed->Recovered and Recovered->Failed rows. It exits 1
+when any decision changed, and 2 when a side fails to run.
 """
 
 from __future__ import annotations
@@ -135,7 +136,12 @@ def _random_masks(rng, n: int, rows: int, most: int) -> np.ndarray:
 
 
 def _engine_batch(arrays: dict, k: int, sparse, masks, max_iter: int) -> None:
-    """Solve batch ``k`` in the ``L1Domain`` its parity picks; store its outputs in ``arrays``."""
+    """Solve batch ``k`` in the ``L1Domain`` its parity picks; store its outputs in ``arrays``.
+
+    The outputs include the iteration counts that ``l1_recover_many`` drops,
+    taken from its one ``_solve_l1_batch`` call.
+    """
+    from gabor_recover import recovery
     from gabor_recover.recovery import L1Domain, l1_recover_many
 
     n = sparse.shape[1]
@@ -144,9 +150,21 @@ def _engine_batch(arrays: dict, k: int, sparse, masks, max_iter: int) -> None:
         data = np.fft.fft(sparse, axis=1) / np.sqrt(n)
     else:
         data = np.fft.ifft(sparse, axis=1) * np.sqrt(n)
-    sols, conv, resid = l1_recover_many(np.where(masks, 0, data), masks, domain,
-                                        max_iter=max_iter)
+    solve, iters = recovery._solve_l1_batch, []
+
+    def counted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        iters.append(out[3])
+        return out
+
+    recovery._solve_l1_batch = counted
+    try:
+        sols, conv, resid = l1_recover_many(np.where(masks, 0, data), masks, domain,
+                                            max_iter=max_iter)
+    finally:
+        recovery._solve_l1_batch = solve
     arrays[f"sols{k}"], arrays[f"conv{k}"], arrays[f"resid{k}"] = sols, conv, resid
+    arrays[f"iters{k}"] = iters[0]
     arrays[f"masks{k}"] = masks
     # the planted signal (the data itself when the sparse vector is its spectrum)
     arrays[f"truth{k}"] = sparse if domain is L1Domain.MinimizeSignalL1 else data
@@ -277,9 +295,14 @@ class Tally:
 
 def compare_engine(base: Path, head: Path, tally: Tally) -> str:
     with np.load(base / "engine.npz") as b, np.load(head / "engine.npz") as h:
-        identical = same_signals = rows = moved = moved_full = 0
+        identical = same_signals = same_iters = rows = moved = moved_full = 0
         count = int(h["batches"])
         for k in range(count):
+            exits = np.flatnonzero(b[f"iters{k}"] != h[f"iters{k}"])
+            same_iters += not exits.size
+            tally.drifted.extend(f"engine batch {k} row {r} (max_iter={h[f'budget{k}']}): "
+                                 f"exits at iteration {b[f'iters{k}'][r]}->{h[f'iters{k}'][r]}"
+                                 for r in exits)
             keys = [f"sols{k}", f"conv{k}", f"resid{k}"]
             rows += b[keys[1]].size
             truth, flips = h[f"truth{k}"], np.flatnonzero(b[keys[1]] != h[keys[1]])
@@ -303,7 +326,8 @@ def compare_engine(base: Path, head: Path, tally: Tally) -> str:
     return (f"engine: {identical}/{count} batches bit-identical ({rows} rows; the last "
             f"{len(CERTIFIED_WIDTHS) + 1} span several polish calls); signals and flags "
             f"bit-identical in {same_signals}/{count}; residuals moved on {moved} rows, "
-            f"{moved_full} of them fully observed")
+            f"{moved_full} of them fully observed; iteration counts identical in "
+            f"{same_iters}/{count}")
 
 
 def compare_grids(base: Path, head: Path, tally: Tally) -> str:

@@ -151,16 +151,27 @@ def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
     return x, ok
 
 
-def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
-    """Least squares on each row's detected support, kept only with a dual certificate.
+def _rows(a: np.ndarray, i: np.ndarray):
+    """``a[i]`` for increasing row indices ``i``; a view, not a copy, when they are one run."""
+    return a[i[0]:i[-1] + 1] if i.size and i[-1] - i[0] == i.size - 1 else a[i]
+
+
+def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
+            rhs: Optional[np.ndarray] = None):
+    """Least squares on each row's detected support, kept only when it is L1-optimal.
 
     A row has support tiers ``tier`` (how many of 1e-2, 1e-4 and 1e-6 of the
     peak each DR iterate entry exceeds), data ``b`` (zero where unobserved),
-    observed mask ``obs`` and tolerance ``feas``. Its supports ``tier >= 3, 2,
-    1`` are tried while they grow and fit in the observed count; acceptance
-    needs full column rank, feasibility and a dual vector of modulus at most 1
-    off the support. There is no dense fallback: a row whose Gram fails
-    :func:`_normal_solve` is left to DR. Returns ``(accepted, solutions, residuals)``.
+    observed mask ``obs`` and tolerance ``feas``; ``rhs``, when given, is
+    ``_idft(b)``. Its supports ``tier >= 3, 2, 1`` are tried while they grow
+    and fit in the observed count; acceptance needs full column rank,
+    feasibility and a dual vector of modulus at most 1 off the support. A
+    support ``S`` that passes Donoho-Stark against the ``M`` missing entries
+    has one: with ``r = |S||M|/n < 1/2`` the Gram's smallest eigenvalue is at
+    least ``1 - r`` and the least-squares dual at most ``r/(1 - r) < 1`` off
+    ``S``, so only the other rows solve for it. There is no dense fallback: a
+    row whose Gram fails :func:`_normal_solve` is left to DR. Returns
+    ``(accepted, solutions, residuals)``.
     """
     n = tier.shape[1]
     spec = np.fft.fft(obs, axis=1)
@@ -170,38 +181,40 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray):
     sols = np.zeros(tier.shape, dtype=np.complex128)
     resid = np.zeros(len(tier))
     size = np.zeros(len(tier), dtype=int)  # an all-zero row's empty support never grows
+    seen = obs.sum(axis=1)
     for level in (3, 2, 1):
         S = tier >= level
         grown = S.sum(axis=1)
-        i = np.nonzero(~took & (grown != size) & (grown <= obs.sum(axis=1)))[0]
+        i = np.nonzero(~took & (grown != size) & (grown <= seen))[0]
         size = grown
         if i.size == 0:
             continue
-        S, bi, oi, si = S[i], b[i], obs[i], spec[i]
+        S, bi, oi, si = (_rows(a, i) for a in (S, b, obs, spec))
         # no dense fallback: a Gram failing Cholesky has sigma_min(A) <~ 1e-8, so a dual needs
         # ||lam|| = ||E^H lam|| >= |<v_min, signs>|/sigma_min, past the checks' sqrt(n)(1 + 1e-7)
-        rhs = _idft(bi)
-        coeffs, fitted = _normal_solve(S, rhs, si)
+        ri = _idft(bi) if rhs is None else _rows(rhs, i)
+        coeffs, fitted = _normal_solve(S, ri, si)
         # drop numerically dead entries once, so the sign vector is meaningful
         mags = np.abs(coeffs)
         alive = mags > 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1e-300)
         refit = fitted & (alive.sum(axis=1) < grown[i])
         if refit.any():
             S[refit] = alive[refit]
-            coeffs[refit], fitted[refit] = _normal_solve(S[refit], rhs[refit], si[refit])
+            coeffs[refit], fitted[refit] = _normal_solve(S[refit], ri[refit], si[refit])
         res = _observed_residual(coeffs, bi, oi)
         # an exact-0 coefficient on the support has no sign, so no dual certificate
-        j = np.nonzero(fitted & (res <= feas[i]) & ~(S & (coeffs == 0)).any(axis=1))[0]
+        ok = fitted & (res <= feas[i]) & ~(S & (coeffs == 0)).any(axis=1)
+        j = np.nonzero(ok & ~ds_condition(S.sum(axis=1), n - seen[i], n))[0]
         S, c = S[j], coeffs[j]
         signs = np.divide(c, np.abs(c), out=np.zeros_like(c), where=S)
         # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs
         w, gram_ok = _normal_solve(S, signs, si[j])
         dual = _idft(oi[j] * _dft(w))
-        j = j[gram_ok & (np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
-              & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7)]
-        took[i[j]] = True
-        sols[i[j]] = coeffs[j]
-        resid[i[j]] = res[j]
+        ok[j] = (gram_ok & (np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
+                 & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7))
+        took[i[ok]] = True
+        sols[i[ok]] = coeffs[ok]
+        resid[i[ok]] = res[ok]
     return took, sols, resid
 
 
@@ -275,7 +288,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     iters = np.zeros(B, dtype=int)
 
     orig = np.nonzero(~conv)[0]
-    z, bb, oo, sc = z0[orig], b[orig], obs[orig], scale[orig]
+    z, bb, oo, sc = (_rows(a, orig) for a in (z0, b, obs, scale))
     feas = tol * np.maximum(1.0, np.abs(bb).max(axis=1))
 
     # the first check polishes every row on the iterate a step would form from z0;
@@ -287,10 +300,12 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
         cand = np.nonzero((delta < 0.3 * sc) | (it == 0) | (it >= max_iter))[0]
         for lo in range(0, cand.size, chunk):
             i = cand[lo:lo + chunk]
-            mag = np.abs(x[i])
+            mag = np.abs(_rows(x, i))
             peak = mag.max(axis=1, keepdims=True)
             tier = sum(mag > f * peak for f in (1e-2, 1e-4, 1e-6))
-            took, polished, pres = _polish(tier, bb[i], oo[i], feas[i])
+            # z is still _idft(b) at the first check
+            took, polished, pres = _polish(tier, _rows(bb, i), _rows(oo, i), feas[i],
+                                           _rows(z, i) if it == 0 else None)
             i = i[took]
             sols[orig[i]], resid[orig[i]] = polished[took], pres[took]
             done[i] = True

@@ -98,6 +98,18 @@ def dft_submatrix(n, support, missing):
     return F[np.ix_([m for m in k if m not in missing], sorted(support))]
 
 
+def least_squares_dual(n, support, missing, signs):
+    """``(E^H A (A^H A)^{-1} signs, A^H A)`` from the dense unitary DFT.
+
+    ``E`` holds its observed rows and ``A`` their ``support`` columns, so the
+    first entry is the polish's dual for the sign vector ``signs`` on ``S``.
+    """
+    E = dft_submatrix(n, range(n), missing)
+    A = E[:, sorted(support)]
+    gram = A.conj().T @ A
+    return E.conj().T @ (A @ np.linalg.solve(gram, signs)), gram
+
+
 def explicit_rank_test(n, support, missing):
     """Whether that submatrix has full column rank at ``matrix_rank``'s default cutoff."""
     return int(np.linalg.matrix_rank(dft_submatrix(n, support, missing))) == len(support)
@@ -670,6 +682,65 @@ class TestPolish:
         for k in np.flatnonzero(ok):
             A = dft[np.ix_(obs[k], S[k])]
             assert np.allclose(A.conj().T @ A @ x[k, S[k]], rhs[k, S[k]], atol=1e-12)
+
+    # with r = |S||M|/n < 1/2 the Gram I - M_S^H M_S keeps its eigenvalues above 1 - r, and
+    # the least-squares dual is the signs on S and at most r/(1 - r) < 1 off it, so a
+    # Donoho-Stark certified support needs no dual solve
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_donoho_stark_support_has_a_strict_dual(self, data):
+        n = data.draw(st.integers(1, 64))
+        positions = st.integers(0, n - 1)
+        supp = data.draw(st.sets(positions, min_size=1))
+        miss = data.draw(st.sets(positions, max_size=(n - 1) // (2 * len(supp))))
+        assert ds_condition(len(supp), len(miss), n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        coeffs = rng.normal(size=len(supp)) + 1j * rng.normal(size=len(supp))
+        signs = coeffs / np.abs(coeffs)
+        dual, gram = least_squares_dual(n, supp, miss, signs)
+        r = len(supp) * len(miss) / n
+        assert np.linalg.eigvalsh(gram).min() >= 1 - r - 1e-12
+        assert np.abs(dual[sorted(supp)] - signs).max() <= 1e-12
+        off = sorted(set(range(n)) - supp)
+        assert np.abs(dual[off]).max(initial=0.0) <= r / (1 - r) + 1e-12 < 1
+
+    def test_donoho_stark_rows_skip_the_dual_solve(self, monkeypatch):
+        # every row is certified, so each passes _normal_solve once, for its coefficients
+        n, rows = 16, 40
+        rng = np.random.default_rng(5)
+        planted = np.zeros((rows, n), dtype=complex)
+        obs = np.ones((rows, n), dtype=bool)
+        for k in range(rows):
+            planted[k, rng.choice(n, size=2, replace=False)] = (rng.normal(size=2)
+                                                                + 1j * rng.normal(size=2))
+            obs[k, rng.choice(n, size=3, replace=False)] = False
+        assert ds_condition(np.full(rows, 2), (~obs).sum(axis=1), n).all()
+        b = np.where(obs, row_spectrum_many(planted), 0.0)
+        real_solve, solved = recovery._normal_solve, []
+
+        def spy(S, *rest):
+            solved.append(len(S))
+            return real_solve(S, *rest)
+
+        monkeypatch.setattr(recovery, "_normal_solve", spy)
+        took, sols, _ = recovery._polish(tiers(planted), b, obs, np.full(rows, 1e-9))
+        assert took.all() and np.allclose(sols, planted, atol=1e-12)
+        assert sum(solved) == rows
+
+    def test_support_past_donoho_stark_still_needs_its_dual(self):
+        # |S||M| = 9 < 12 <= 2|S||M|: the support has full rank and fits the data, but
+        # its least-squares dual reaches 1.049 off S, so it is not L1-optimal
+        n, supp, miss = 12, [1, 9, 11], [8, 9, 10]
+        planted = np.zeros(n, dtype=complex)
+        planted[supp] = [1.0, 0.5, -0.8]
+        obs = np.ones(n, dtype=bool)
+        obs[miss] = False
+        dual, gram = least_squares_dual(n, supp, miss, np.sign(planted[supp]))
+        assert np.linalg.eigvalsh(gram).min() > 0.5 and np.abs(dual).max() > 1.04
+        b = np.where(obs, row_spectrum(planted), 0.0)
+        took, sols, _ = recovery._polish(tiers(planted)[None], b[None], obs[None],
+                                         np.array([1e-9]))
+        assert not took[0] and not sols[0].any()
 
     def test_first_check_comes_before_any_step(self):
         # a Donoho-Stark certified row is polished on its zero-filled inverse and
