@@ -17,11 +17,13 @@ soft-thresholding with projection onto the affine constraint set (one
 forward/inverse FFT pair per iteration, since the constraint operator is
 unitary). A support-identification polish runs before the first step and at
 every check: least-squares on the detected support, accepted only when the
-result is feasible and a dual vector certifies L1 optimality. It builds no DFT
-matrix: Grams come off the FFT of each observed mask and solve stacked by
-support size, each flagged alone when it fails, with no dense fallback (DR
-keeps such a row), and the duals take one FFT pair. The engine solves
-independent instances at once, each exactly as it would alone.
+result is feasible and L1-optimal. A support that passes Donoho-Stark against
+the row's missing entries is optimal by that test alone; any other needs a
+dual vector that certifies it. The polish builds no DFT matrix: Grams come off
+the FFT of each observed mask and solve stacked by support size, each flagged
+alone when it fails, with no dense fallback (DR keeps such a row), and the
+duals take one FFT pair. The engine solves independent instances at once,
+each exactly as it would alone.
 
 Row-wise recovery applies the solve to each row of a grid independently,
 optionally certifying rows through the product condition
