@@ -25,8 +25,10 @@ imports that side's ``src/``. Both sides get the same inputs:
 * ``sample_erasure`` masks at the same ``(n, t)`` and ``MASK_SEEDS``, which
   also run across ``2**32`` and ``2**64``, where a seed grows a 32-bit word;
 * a fixed set of CLI runs covering every experiment mode, driven by flags, one
-  of them a row-recovery sweep that no row's certificate holds in, and one
-  two-stage run that reads a config file and overrides one of its fields.
+  of them a row-recovery sweep that no row's certificate holds in, one a
+  SkewedRows two-stage point whose trials fill several chunks and end in a
+  partial one, and one two-stage run that reads a config file and overrides
+  one of its fields.
 
 A decision is a converged flag, a row status, a guarantee flag, whether a
 report recovered anything, its stage, a draw's support, a whole mask, and
@@ -73,11 +75,12 @@ DRAW_SEEDS = 200
 MASK_SEEDS = (*range(DRAW_SEEDS), *range(2**32 - 8, 2**32 + 8), *range(2**64 - 8, 2**64 + 8))
 MASK_THETA = 0.3
 CERTIFIED_WIDTHS = (9, 10)  # every certified pair: 6,828 and 11,672 rows
-WIDE_ROWS = 300  # rows at n = 256, about five polish calls
+WIDE_ROWS = 300  # rows at n = 256, about ten polish calls
 
 # every experiment mode; the two-stage runs reach the column stage, the
-# tail-bounds runs hold rows with and without a valid bound, n up to 1e5, and
-# rows_uncertified is past the row certificate, where no row reaches the engine
+# tail-bounds runs hold rows with and without a valid bound, n up to 1e5,
+# rows_uncertified is past the row certificate, where no row reaches the engine, and
+# two_skewed_chunks spans six chunks of 16384 entries, or eleven of 8192
 CLI_RUNS = {
     "mmax": ["mmax-sweep", "--t", "16", "--theta", "0.1", "--e-max", "2", "--trials", "2000",
              "--sweep", "64,256"],
@@ -93,6 +96,8 @@ CLI_RUNS = {
                          "--trials", "20", "--sweep", "64,127"],
     "two_skewed": ["two-stage", "--t", "8", "--theta", "0.25", "--e-max", "3", "--trials", "60",
                    "--sweep", "32,64", "--profile-shape", "SkewedRows"],
+    "two_skewed_chunks": ["two-stage", "--t", "8", "--theta", "0.25", "--e-max", "3",
+                          "--trials", "165", "--sweep", "64", "--profile-shape", "SkewedRows"],
     "two_uniform": ["two-stage", "--t", "8", "--theta", "0.3", "--e-max", "2", "--trials", "60",
                     "--sweep", "16,32", "--profile-shape", "UniformRows"],
 }

@@ -53,9 +53,9 @@ __all__ = [
 # is below this; separate from the runtime feasibility tolerance
 EXACT_REL_TOL = 1e-6
 
-# a chunk of trials holds 8192 complex grid entries (128 KiB), or 8 times as many entries of
-# 1-byte sweep masks (64 KiB); 16384 entries raised the skewed benchmark's peak RSS by 13%
-_CHUNK_ENTRIES = 8192
+# a chunk of trials holds 16384 complex grid entries (256 KiB), or 4 times as many entries of
+# 1-byte sweep masks (64 KiB)
+_CHUNK_ENTRIES = 16384
 
 WILSON_Z_95 = 1.959963984540054
 WILSON_Z_99 = 2.5758293035489004
@@ -350,7 +350,7 @@ def run_experiment(config: ExperimentConfig):
         return summary, []
 
     sweep = config.mode in (ExperimentMode.MmaxSweep, ExperimentMode.MminSweep)
-    step = max(1, _CHUNK_ENTRIES * (8 if sweep else 1) // config.dims.size)
+    step = max(1, _CHUNK_ENTRIES * (4 if sweep else 1) // config.dims.size)
     # trial s draws its pattern at seed 2s + 1 and its signal at 2s, each stream opened once
     seeds = range(config.base_seed, config.base_seed + config.trials)
     mask_rngs = _streams(range(2 * seeds.start + 1, 2 * seeds.stop, 2))

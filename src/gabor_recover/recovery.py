@@ -68,7 +68,7 @@ DEFAULT_CONV_TOL = 1e-12
 DEFAULT_FEAS_TOL = 1e-9
 # candidate row entries polished at once, as max(1, _POLISH_ENTRIES // n) rows of width n,
 # which bounds the polish's memory at every width
-_POLISH_ENTRIES = 1 << 14
+_POLISH_ENTRIES = 1 << 13
 _GRAM_ENTRIES = 1 << 17  # stacked Gram entries solved at once
 
 
@@ -178,10 +178,11 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
     n = tier.shape[1]
     spec = np.fft.fft(obs, axis=1)
     # Hermitian to the bit, so every Gram built from it is too
-    spec = (spec + spec[:, -np.arange(n) % n].conj()) / (2 * n)
+    spec += np.conjugate(spec[:, -np.arange(n) % n])
+    spec /= 2 * n
     took = np.zeros(len(tier), dtype=bool)
-    sols = np.zeros(tier.shape, dtype=np.complex128)
     resid = np.zeros(len(tier))
+    fits = []  # each level's accepted rows, scattered after the levels to lower the peak
     size = np.zeros(len(tier), dtype=int)  # an all-zero row's empty support never grows
     seen = obs.sum(axis=1)
     for level in (3, 2, 1):
@@ -199,6 +200,7 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
         # drop numerically dead entries once, so the sign vector is meaningful
         mags = np.abs(coeffs)
         alive = mags > 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1e-300)
+        del mags
         refit = fitted & (alive.sum(axis=1) < grown[i])
         if refit.any():
             S[refit] = alive[refit]
@@ -207,16 +209,20 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
         # an exact-0 coefficient on the support has no sign, so no dual certificate
         ok = fitted & (res <= feas[i]) & ~(S & (coeffs == 0)).any(axis=1)
         j = np.nonzero(ok & ~ds_condition(S.sum(axis=1), n - seen[i], n))[0]
-        S, c = S[j], coeffs[j]
-        signs = np.divide(c, np.abs(c), out=np.zeros_like(c), where=S)
-        # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs
-        w, gram_ok = _normal_solve(S, signs, si[j])
-        dual = _idft(oi[j] * _dft(w))
-        ok[j] = (gram_ok & (np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
-                 & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7))
-        took[i[ok]] = True
-        sols[i[ok]] = coeffs[ok]
-        resid[i[ok]] = res[ok]
+        if j.size:
+            S, signs = S[j], coeffs[j]  # zero off S, where the signs are zero too
+            np.divide(signs, np.abs(signs), out=signs, where=S)
+            # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs
+            w, gram_ok = _normal_solve(S, signs, si[j])
+            dual = _idft(oi[j] * _dft(w))
+            ok[j] = (gram_ok & (np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
+                     & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7))
+        i, coeffs = i[ok], coeffs[ok]
+        took[i], resid[i] = True, res[ok]
+        fits.append((i, coeffs))
+    sols = np.zeros(tier.shape, dtype=np.complex128)
+    for rows, c in fits:
+        sols[rows] = c
     return took, sols, resid
 
 
@@ -239,7 +245,10 @@ def _dr_step(z: np.ndarray, scale: np.ndarray, b: np.ndarray, obs: np.ndarray):
 
 def _observed_residual(u: np.ndarray, b: np.ndarray, obs: np.ndarray):
     """Per row, max modulus of the constraint mismatch where ``obs`` is set (0 if nowhere)."""
-    return np.where(obs, np.abs(_dft(u) - b), 0.0).max(axis=-1)
+    diff = _dft(u)
+    diff -= b
+    diff[~obs] = 0.0
+    return np.abs(diff).max(axis=-1)
 
 
 def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
@@ -255,10 +264,11 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
 
     The first check comes at iteration 0, before any DR step, and runs at
     every budget: every row is polished on ``z0`` soft-thresholded as a step
-    would, and the rows it takes report 0 iterations. The others run 8-step
-    blocks from the untouched ``z0``, with a check after each. A check polishes
-    its candidate rows ``_POLISH_ENTRIES // n`` at a time (at least one), and no
-    row's result depends on the batch it is polished in.
+    would, and the rows it takes report 0 iterations. It reads the entry
+    arrays a polish chunk at a time, and only the rows it leaves are gathered
+    to run 8-step blocks from the untouched ``z0``, with a check after each. A
+    check polishes its candidate rows ``_POLISH_ENTRIES // n`` at a time (at
+    least one), and no row's result depends on the batch it is polished in.
     """
     missing = np.asarray(missing_mask, dtype=bool)
     vals = np.asarray(values, dtype=np.complex128)
@@ -289,23 +299,21 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
         resid[full] = _observed_residual(z0[full], b[full], obs[full])
     iters = np.zeros(B, dtype=int)
 
-    orig = np.nonzero(~conv)[0]
-    z, bb, oo, sc = (_rows(a, orig) for a in (z0, b, obs, scale))
-    feas = tol * np.maximum(1.0, np.abs(bb).max(axis=1))
-
-    # the first check polishes every row on the iterate a step would form from z0;
-    # nothing has moved yet, so nothing settles there
-    it, check_every, chunk = 0, 8, max(1, _POLISH_ENTRIES // n)
-    x, delta = _shrink(z, sc), np.full(orig.size, np.inf)
+    # the first check polishes the entry arrays, every unsolved row a candidate, and only
+    # the rows it leaves are gathered for DR; nothing has moved yet, so nothing settles there
+    orig, z, bb, oo, sc, done = np.arange(B), z0, b, obs, scale, conv.copy()
+    feas = tol * np.maximum(1.0, np.abs(b).max(axis=1))
+    it, check_every, chunk, delta = 0, 8, max(1, _POLISH_ENTRIES // n), np.inf
     while orig.size:
-        done = np.zeros(orig.size, dtype=bool)
-        cand = np.nonzero((delta < 0.3 * sc) | (it == 0) | (it >= max_iter))[0]
+        cand = np.nonzero(~done & ((delta < 0.3 * sc) | (it == 0) | (it >= max_iter)))[0]
         for lo in range(0, cand.size, chunk):
             i = cand[lo:lo + chunk]
-            mag = np.abs(_rows(x, i))
+            # at the first check z is still _idft(b), shrunk here as a step would
+            mag = np.abs(_shrink(_rows(z, i), sc[i]) if it == 0 else _rows(x, i))
             peak = mag.max(axis=1, keepdims=True)
-            tier = sum(mag > f * peak for f in (1e-2, 1e-4, 1e-6))
-            # z is still _idft(b) at the first check
+            tier = np.add(mag > 1e-2 * peak, mag > 1e-4 * peak, dtype=np.uint8)
+            tier += mag > 1e-6 * peak
+            del mag
             took, polished, pres = _polish(tier, _rows(bb, i), _rows(oo, i), feas[i],
                                            _rows(z, i) if it == 0 else None)
             i = i[took]
@@ -318,12 +326,12 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
             resid[orig[settled]] = _observed_residual(y[settled], bb[settled], oo[settled])
             done |= settled
         if done.any():
-            conv[orig[done]] = True
-            iters[orig[done]] = it
-            keep = ~done
-            orig, z, bb, oo, sc, feas = (a[keep] for a in (orig, z, bb, oo, sc, feas))
+            conv[orig[done]], iters[orig[done]] = True, it
+            keep = np.nonzero(~done)[0]
+            orig, z, bb, oo, sc, feas = (_rows(a, keep) for a in (orig, z, bb, oo, sc, feas))
         if it >= max_iter or not orig.size:
             break
+        done = np.zeros(orig.size, dtype=bool)
         steps = min(check_every, max_iter - it)
         for _ in range(steps):
             x, y = _dr_step(z, sc, bb, oo)
@@ -543,9 +551,14 @@ def _recover_many(b: np.ndarray, mask: np.ndarray, supports: Optional[np.ndarray
     if supports is not None:
         cert |= ds_condition(supports, m_counts, n)
     solve = cert | (supports is None)
-    out, converged, resid = np.zeros(b.shape, complex), np.zeros_like(cert), np.zeros(cert.shape)
-    out[solve], converged[solve], resid[solve] = l1_recover_many(b[solve], mask[solve], tol=tol,
-                                                                 max_iter=max_iter)
+    rows = np.nonzero(solve.ravel())[0]
+    solved = l1_recover_many(*(_rows(a.reshape(-1, n), rows) for a in (b, mask)), tol=tol,
+                             max_iter=max_iter)
+    if rows.size < solve.size:  # the rows left out fail unsolved
+        out, converged, resid = (np.zeros(solve.shape + a.shape[1:], a.dtype) for a in solved)
+        out[solve], converged[solve], resid[solve] = solved
+    else:  # every row solved: the engine's arrays are the stack's
+        out, converged, resid = (a.reshape(solve.shape + a.shape[1:]) for a in solved)
     row_ok = converged & (m_counts < n)
     row_guarantee = ~(row_ok & ~cert).any(axis=1)
     certified = column_stage = np.zeros(grids, dtype=bool)

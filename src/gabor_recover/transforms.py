@@ -42,12 +42,14 @@ class TransformKind(Enum):
 
 def _dft(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """The unitary 1D DFT of ``v`` along ``axis``."""
-    return np.fft.fft(v, axis=axis) / math.sqrt(v.shape[axis])
+    out = np.fft.fft(v, axis=axis)
+    return np.divide(out, math.sqrt(v.shape[axis]), out=out)
 
 
 def _idft(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """The inverse of :func:`_dft`, also its adjoint."""
-    return np.fft.ifft(v, axis=axis) * math.sqrt(v.shape[axis])
+    out = np.fft.ifft(v, axis=axis)
+    return np.multiply(out, math.sqrt(v.shape[axis]), out=out)
 
 
 def gabor_row(signal: Signal2D) -> Signal2D:

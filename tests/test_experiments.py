@@ -398,7 +398,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiments, "_run_trials", run_trials)
         _, records = run_experiment(cfg)
-        # a sweep chunk keeps 1-byte masks: 8 times the entries of a recovery chunk, and
+        # a sweep chunk keeps 1-byte masks: 4 times the entries of a recovery chunk, and
         # 150 trials end in a partial chunk
         assert chunks == [64, 64, 22]
         expected = []
@@ -422,8 +422,9 @@ class TestRunExperiment:
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_two_stage_chunk_memory_stays_small(self):
-        # 32 trials at n=256, t=8 are eight chunks of four grids, about 1.9 MiB at the
-        # peak; copying the stack into the engine and into each polish call reads 2.8 MiB
+        # 32 trials at n=256, t=8 are four chunks of eight grids, about 1.9 MiB at the
+        # peak; shrinking the whole stack for the first check and keeping the polish's
+        # output beside its level arrays reads 3.0 MiB at this depth
         cfg = make_config(dims=GridDims(n=256, t=8), theta=1 / 6, e_max_target=3, trials=32,
                           mode=ExperimentMode.TwoStage, profile_shape=ProfileShape.SkewedRows)
         run_experiment(make_config(trials=1, mode=ExperimentMode.TwoStage))  # first-call set-up

@@ -473,6 +473,43 @@ class TestL1RecoverMany:
         assert np.allclose(sols, sparse, atol=1e-9)
         assert peak < 8 * 2**20
 
+    def test_split_first_check_keeps_stack_copies_out(self):
+        # three fully observed rows split the unsolved rows into four runs; the first
+        # check polishes the entry arrays a chunk at a time and gathers only what it
+        # leaves, about 6 stacks at the peak, where copying the runs out and shrinking
+        # them whole reads 9.5
+        rng = np.random.default_rng(11)
+        n, batch = 256, 64
+        sparse = np.zeros((batch, n), dtype=complex)
+        for i in range(batch):
+            supp = rng.choice(n, size=3, replace=False)
+            sparse[i, supp] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        masks = rng.random((batch, n)) < 0.1
+        masks[[5, 21, 40]] = False
+        vals = np.where(masks, 0, row_spectrum_many(sparse))
+        l1_recover_many(vals, masks)  # first-call set-up
+        tracemalloc.start()
+        try:
+            sols, conv, _ = l1_recover_many(vals, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert conv.all() and np.allclose(sols, sparse, atol=1e-9)
+        assert peak < 8 * vals.nbytes
+
+    @BOTH_DOMAINS
+    @pytest.mark.parametrize("max_iter", [0, 16, recovery.DEFAULT_MAX_ITER])
+    def test_reads_read_only_inputs(self, domain, max_iter):
+        # the engine reads its entry arrays in place, so it must never write into them
+        _, masks, data = planted_batch(7, 16, domain)
+        masks[0], masks[3] = True, False  # a fully erased row and a fully observed one
+        values = np.where(masks, 0, data)
+        expected = l1_recover_many(values.copy(), masks.copy(), domain, max_iter=max_iter)
+        values.flags.writeable = masks.flags.writeable = False
+        got = l1_recover_many(values, masks, domain, max_iter=max_iter)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
     def test_support_past_the_gram_stack_cap_polishes(self):
         # the polish before any step sees all 380 entries of a dense +-1 vector,
         # and a 380x380 Gram alone exceeds the entries stacked per solve
@@ -1197,6 +1234,30 @@ class TestRecoverTwoStage:
         assert all(np.array_equal(a, full[:3]) for a, full in zip(without, with_repair))
         assert without[5].tolist() == [False, True, True]  # the grids that ran the column stage
         assert with_repair[1][3].all()
+
+    @pytest.mark.parametrize("certified_only", [False, True], ids=["every-row", "certified"])
+    def test_stack_is_read_not_written(self, rng, certified_only):
+        # the engine sees views of the stack; each grid loses one whole row, so without
+        # supports the column stage runs, and with them only some rows are certified
+        dims = GridDims(n=16, t=4)
+        sigs, problems = [sparse_grid_signal(rng, dims, 2) for _ in range(3)], []
+        for g, sig in enumerate(sigs):
+            lost = sample_erasure(dims, 0.2, seed=40 + g).mask.copy()
+            lost[g] = True
+            problems.append(apply_erasure(gabor_row(sig), ErasurePattern(dims, lost)))
+        b, mask = stack_problems(problems)
+        supports = np.array([support_profile(sig).row_supports for sig in sigs])
+        args = (supports, None) if certified_only else (None, [None] * 3)
+        expected = recovery._recover_many(b.copy(), mask.copy(), *args)
+        b.flags.writeable = mask.flags.writeable = False
+        got = recovery._recover_many(b, mask, *args)
+        for a, e in zip(got, expected):
+            assert a.tobytes() == e.tobytes()
+        cert = ds_condition(supports, mask.sum(axis=2), dims.n)
+        if certified_only:
+            assert 0 < cert.sum() < cert.size
+        else:
+            assert got[5].all()
 
     def test_stacked_grids_must_share_a_shape(self):
         # a ragged stack cannot be built, so this is values whose grids differ from the mask's

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from gabor_recover.signal import GridDims, Signal2D
 from gabor_recover.transforms import (
     TransformKind,
+    _dft,
+    _idft,
     dft2,
     gabor_col,
     gabor_col_inverse,
@@ -144,3 +148,17 @@ def test_dims_preserved(rng):
     sig = random_signal(rng, 5, 2)
     for fn in (dft2, idft2, gabor_row, gabor_row_inverse, gabor_col, gabor_col_inverse):
         assert fn(sig).dims == sig.dims
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_unitary_dfts_scale_in_place_bit_for_bit(rng, axis, dtype):
+    # the 1D transforms scale numpy's FFT output in place: same bits, input untouched
+    v = rng.normal(size=(6, 10)).astype(dtype)
+    if dtype is complex:
+        v += 1j * rng.normal(size=v.shape)
+    before = v.copy()
+    root = math.sqrt(v.shape[axis])
+    assert _dft(v, axis).tobytes() == (np.fft.fft(v, axis=axis) / root).tobytes()
+    assert _idft(v, axis).tobytes() == (np.fft.ifft(v, axis=axis) * root).tobytes()
+    assert v.tobytes() == before.tobytes()
