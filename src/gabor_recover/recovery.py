@@ -172,8 +172,8 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
     has one: with ``r = |S||M|/n < 1/2`` the Gram's smallest eigenvalue is at
     least ``1 - r`` and the least-squares dual at most ``r/(1 - r) < 1`` off
     ``S``, so only the other rows solve for it. There is no dense fallback: a
-    row whose Gram fails :func:`_normal_solve` is left to DR. Returns
-    ``(accepted, solutions, residuals)``.
+    row whose Gram fails :func:`_normal_solve` is left to DR. Returns one
+    ``(rows, coefficients, residuals)`` per level that accepts rows, of just those rows.
     """
     n = tier.shape[1]
     spec = np.fft.fft(obs, axis=1)
@@ -181,8 +181,7 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
     spec += np.conjugate(spec[:, -np.arange(n) % n])
     spec /= 2 * n
     took = np.zeros(len(tier), dtype=bool)
-    resid = np.zeros(len(tier))
-    fits = []  # each level's accepted rows, scattered after the levels to lower the peak
+    fits = []
     size = np.zeros(len(tier), dtype=int)  # an all-zero row's empty support never grows
     seen = obs.sum(axis=1)
     for level in (3, 2, 1):
@@ -217,13 +216,11 @@ def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
             dual = _idft(oi[j] * _dft(w))
             ok[j] = (gram_ok & (np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
                      & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7))
-        i, coeffs = i[ok], coeffs[ok]
-        took[i], resid[i] = True, res[ok]
-        fits.append((i, coeffs))
-    sols = np.zeros(tier.shape, dtype=np.complex128)
-    for rows, c in fits:
-        sols[rows] = c
-    return took, sols, resid
+        i, coeffs, res = i[ok], coeffs[ok], res[ok]
+        if i.size:
+            took[i] = True
+            fits.append((i, coeffs, res))
+    return fits
 
 
 def _shrink(z: np.ndarray, scale: np.ndarray):
@@ -314,11 +311,9 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
             tier = np.add(mag > 1e-2 * peak, mag > 1e-4 * peak, dtype=np.uint8)
             tier += mag > 1e-6 * peak
             del mag
-            took, polished, pres = _polish(tier, _rows(bb, i), _rows(oo, i), feas[i],
-                                           _rows(z, i) if it == 0 else None)
-            i = i[took]
-            sols[orig[i]], resid[orig[i]] = polished[took], pres[took]
-            done[i] = True
+            for k, c, r in _polish(tier, _rows(bb, i), _rows(oo, i), feas[i],
+                                   _rows(z, i) if it == 0 else None):
+                sols[orig[i[k]]], resid[orig[i[k]]], done[i[k]] = c, r, True
         # rows the polish did not take settle on the DR iterate once it stalls
         settled = ~done & (delta <= DEFAULT_CONV_TOL * sc)
         if settled.any():
@@ -559,32 +554,31 @@ def _recover_many(b: np.ndarray, mask: np.ndarray, supports: Optional[np.ndarray
         out[solve], converged[solve], resid[solve] = solved
     else:  # every row solved: the engine's arrays are the stack's
         out, converged, resid = (a.reshape(solve.shape + a.shape[1:]) for a in solved)
-    row_ok = converged & (m_counts < n)
-    row_guarantee = ~(row_ok & ~cert).any(axis=1)
+    ok = converged & (m_counts < n)
+    row_guarantee = ~(ok & ~cert).any(axis=1)
     certified = column_stage = np.zeros(grids, dtype=bool)
-    repaired = np.zeros_like(row_ok)
     if col_maxes is not None:
         bounded = np.array([c is not None for c in col_maxes], dtype=bool)
         bounds = np.array([0 if c is None else c for c in col_maxes])
-        certified = bounded & ds_condition((~row_ok).sum(axis=1), bounds, t)
+        certified = bounded & ds_condition((~ok).sum(axis=1), bounds, t)
         # each grid's columns share its missing rows: solve the columns of every attempting
         # grid at once, and repair a grid's failed rows only if all of its columns converged
-        column_stage = ~row_ok.all(axis=1)
-        i = np.flatnonzero((certified | ~bounded) & row_ok.any(axis=1) & column_stage)
+        column_stage = ~ok.all(axis=1)
+        i = np.flatnonzero((certified | ~bounded) & ok.any(axis=1) & column_stage)
         if i.size:
             cols, conv, _ = l1_recover_many(out[i].transpose(0, 2, 1).reshape(-1, t),
-                                            np.repeat(~row_ok[i], n, axis=0),
+                                            np.repeat(~ok[i], n, axis=0),
                                             L1Domain.MinimizeFreqL1, tol, max_iter)
-            repaired[i] = ~row_ok[i] & conv.reshape(-1, n).all(axis=1)[:, None]
-            out[i] = np.where(repaired[i, :, None], cols.reshape(-1, n, t).swapaxes(1, 2), out[i])
+            repaired = ~ok[i] & conv.reshape(-1, n).all(axis=1)[:, None]
+            out[i] = np.where(repaired[:, :, None], cols.reshape(-1, n, t).swapaxes(1, 2), out[i])
             resid[i] = _observed_residual(out[i], b[i], ~mask[i])
-
-    # repaired rows must match their own observations
-    demoted = repaired & (resid > tol * np.maximum(1.0, np.abs(b).max(axis=2)))
-    ok = row_ok | (repaired & ~demoted)
+            # repaired rows must match their own observations
+            demoted = repaired & (resid[i] > tol * np.maximum(1.0, np.abs(b[i]).max(axis=2)))
+            ok[i] |= repaired & ~demoted
+            certified[i] &= ~demoted.any(axis=1)
     out[~ok] = 0.0
     residual = np.where(ok, resid, 0.0).max(axis=1)
-    return out, ok, residual, row_guarantee, certified & ~demoted.any(axis=1), column_stage
+    return out, ok, residual, row_guarantee, certified, column_stage
 
 
 def _report(problem: RecoveryProblem, profile, col_maxes, tol, max_iter) -> RecoveryReport:

@@ -634,6 +634,15 @@ def tiers(x):
     return np.where(x != 0, 3, 0)
 
 
+def polish(tier, b, obs, feas):
+    # _polish as the mask of the rows it takes and their solutions, zero elsewhere
+    took = np.zeros(len(tier), dtype=bool)
+    sols = np.zeros(tier.shape, dtype=complex)
+    for rows, coeffs, _ in recovery._polish(tier, b, obs, feas):
+        took[rows], sols[rows] = True, coeffs
+    return took, sols
+
+
 class TestPolish:
     def test_exact_zero_refit_coefficient_is_not_certified(self, monkeypatch):
         # a zero coefficient has no sign, so its candidate has no dual certificate
@@ -662,7 +671,7 @@ class TestPolish:
         monkeypatch.setattr(recovery, "_normal_solve", fit_with_exact_zero)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before its sign is ever divided out
-            took, _, _ = recovery._polish(tiers(x)[None], b[None], obs[None], np.array([1e-9]))
+            took, _ = polish(tiers(x)[None], b[None], obs[None], np.array([1e-9]))
         assert supports == [[2, 5, 9, 13], [2, 5, 9]]
         assert not took[0]
 
@@ -679,7 +688,7 @@ class TestPolish:
             planted[k, list(supp)] = rng.normal(size=5) + 1j * rng.normal(size=5)
             obs[k, list(miss)] = False
         b = np.where(obs, row_spectrum_many(planted), 0.0)
-        took, sols, _ = recovery._polish(tiers(planted), b, obs, np.full(3, 1e-9))
+        took, sols = polish(tiers(planted), b, obs, np.full(3, 1e-9))
         assert took.tolist() == [True, False, True]
         assert np.allclose(sols[took], planted[took], atol=1e-12)
         assert not sols[1].any()
@@ -760,7 +769,7 @@ class TestPolish:
             return real_solve(S, *rest)
 
         monkeypatch.setattr(recovery, "_normal_solve", spy)
-        took, sols, _ = recovery._polish(tiers(planted), b, obs, np.full(rows, 1e-9))
+        took, sols = polish(tiers(planted), b, obs, np.full(rows, 1e-9))
         assert took.all() and np.allclose(sols, planted, atol=1e-12)
         assert sum(solved) == rows
 
@@ -775,8 +784,7 @@ class TestPolish:
         dual, gram = least_squares_dual(n, supp, miss, np.sign(planted[supp]))
         assert np.linalg.eigvalsh(gram).min() > 0.5 and np.abs(dual).max() > 1.04
         b = np.where(obs, row_spectrum(planted), 0.0)
-        took, sols, _ = recovery._polish(tiers(planted)[None], b[None], obs[None],
-                                         np.array([1e-9]))
+        took, sols = polish(tiers(planted)[None], b[None], obs[None], np.array([1e-9]))
         assert not took[0] and not sols[0].any()
 
     def test_first_check_comes_before_any_step(self):
@@ -835,8 +843,7 @@ class TestPolish:
         obs = np.zeros(n, dtype=bool)
         obs[[1, 3, 5, 7]] = True
         b = np.where(obs, row_spectrum(planted), 0.0)
-        took, sols, _ = recovery._polish(tiers(planted)[None], b[None], obs[None],
-                                         np.array([1e-9]))
+        took, sols = polish(tiers(planted)[None], b[None], obs[None], np.array([1e-9]))
         assert not took[0]
         assert not sols[0].any()
 
@@ -1204,6 +1211,30 @@ class TestRecoverTwoStage:
                                          max_iter=2)
         assert stacked[1].sum(axis=1).tolist() == [7, 8]
         assert_reports_match(stacked, [recover_two_stage(p, max_iter=2) for p in problems])
+
+    def test_demoted_repair_withdraws_the_column_guarantee(self, rng):
+        # a column bound of 1 understates these columns' support, so it certifies the repair
+        # of the row that the row stage fails at a 2-step budget; the repaired row misses its
+        # own observations and is demoted, which takes back the certificate
+        dims = GridDims(n=16, t=8)
+        sig = sparse_grid_signal(np.random.default_rng(1), dims, 2)
+        demoted = apply_erasure(gabor_row(sig), sample_erasure(dims, 0.35, 1))
+        failed = recover_rows(demoted, max_iter=2).row_status
+        report = recover_two_stage(demoted, col_transform_support_max=1, max_iter=2)
+        assert report.stage is RecoveryStage.RowThenColumn and RowStatus.Failed in failed
+        assert report.row_status == failed
+        assert report.guarantee_held == (False, False)
+        # stacked with a grid whose lost row repairs cleanly and an erasure-free grid
+        lost = np.zeros((dims.t, dims.n), dtype=bool)
+        lost[3] = True
+        clean = two_level_column_signal(rng, dims.n, dims.t, active_cols=[2, 7, 11])
+        problems = [demoted, apply_erasure(gabor_row(clean), ErasurePattern(dims, lost)),
+                    apply_erasure(gabor_row(sig), ErasurePattern(dims, np.zeros_like(lost)))]
+        bounds = [1, 2, 1]
+        stacked = recovery._recover_many(*stack_problems(problems), None, bounds, max_iter=2)
+        alone = [recover_two_stage(p, bound, max_iter=2) for p, bound in zip(problems, bounds)]
+        assert_reports_match(stacked, alone)
+        assert [r.guarantee_held for r in alone] == [(False, False), (True, True), (True,)]
 
     def test_chunk_without_a_repair_makes_only_the_row_call(self, monkeypatch, rng):
         # an erasure-free grid, a fully erased one, and one whose three lost rows are not
