@@ -142,19 +142,16 @@ def _mix(x, y):
 
 
 def _seed_words(seeds: list) -> np.ndarray:
-    """SeedSequence's ``generate_state(4, uint64)`` for each int seed >= 0, as ``(4, len(seeds))``
-    words: numpy's hash, seeds abreast."""
-    words = max(4, -(-max(seeds).bit_length() // 32))  # a seed is its 32-bit words, low first
-    pool = np.array([[seed >> 32 * k & 0xFFFFFFFF for seed in seeds] for k in range(words)],
+    """SeedSequence's ``generate_state(4, uint64)`` for each int seed in ``[0, 2**128)``, as
+    ``(4, len(seeds))`` words: numpy's hash, seeds abreast."""
+    # a seed is the pool's four 32-bit words, low first; a short seed's missing words hash as 0
+    pool = np.array([[seed >> 32 * k & 0xFFFFFFFF for seed in seeds] for k in range(4)],
                     dtype=np.uint32)
-    consts = _hash_constants(*_POOL_HASH, 4 * words + 1)
-    mixer = _hashmix(pool[:4], consts[:5])  # a short seed's missing words hash as 0
+    consts = _hash_constants(*_POOL_HASH, 17)
+    mixer = _hashmix(pool, consts[:5])
     for src in range(4):
         dst = [k for k in range(4) if k != src]
         mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], consts[4 + 3 * src:8 + 3 * src]))
-    for src in range(4, words):  # each seed word past the pool's four, where the seed has it
-        mixed = _mix(mixer, _hashmix(pool[src], consts[4 * src:4 * src + 5]))
-        mixer = np.where([seed >> 32 * src > 0 for seed in seeds], mixed, mixer)
     # generate_state(4, uint64): the pool cycled twice, each pair of words low first
     out = _hashmix(np.tile(mixer, (2, 1)), _hash_constants(*_STATE_HASH, 9)).astype(np.uint64)
     return out[0::2] | out[1::2] << 32
@@ -163,14 +160,14 @@ def _seed_words(seeds: list) -> np.ndarray:
 def _streams(seeds):
     """For each int seed >= 0 in order, a Generator in the state ``Generator(PCG64(seed))``
     starts in: the same Generator each time, reseeded as the next is taken, so a seed's
-    draws come first. Hashes are computed ``_SEED_BLOCK`` seeds at a time (by numpy's own
-    SeedSequence in a block of fewer than ``_SEED_FEW``), and each seed's 128-bit state
-    only as it is taken."""
+    draws come first. Hashes are computed ``_SEED_BLOCK`` seeds at a time, by numpy's own
+    SeedSequence in a block of fewer than ``_SEED_FEW`` or one holding a seed of
+    ``2**128`` or more, and each seed's 128-bit state only as it is taken."""
     bitgen = np.random.PCG64(0)
     rng, seeds, mask = np.random.Generator(bitgen), iter(seeds), (1 << 128) - 1
     while block := list(itertools.islice(seeds, _SEED_BLOCK)):
-        words = _seed_words(block) if len(block) >= _SEED_FEW else np.array(
-            [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in block]).T
+        words = _seed_words(block) if _SEED_FEW <= len(block) and max(block) <= mask else (
+            np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in block]).T)
         for lo in range(0, len(block), 256):  # 256 seeds' words become Python ints at a time
             for s_hi, s_lo, i_hi, i_lo in words[:, lo:lo + 256].T.tolist():
                 inc = (i_hi << 65 | i_lo << 1 | 1) & mask  # PCG64's srandom, modulo 2**128

@@ -201,6 +201,22 @@ class TestStreams:
         states = [rng.bit_generator.state for rng in _streams(seeds)]
         assert states == [np.random.PCG64(seed).state for seed in seeds]
 
+    def test_kernel_states_across_block_boundaries(self, monkeypatch):
+        # 4100 seeds of 0 to 4 words, all below 2**128, so both blocks of 2048 take the
+        # block kernel; the last block holds 4, which numpy's SeedSequence hashes
+        seeds = [k << k % 116 for k in range(4100)]
+        assert max(seeds) < 2**128 and max(seeds).bit_length() > 96
+        hashed = []
+
+        def kernel(block):
+            hashed.append(len(block))
+            return _seed_words(block)
+
+        monkeypatch.setattr(channel, "_seed_words", kernel)
+        states = [rng.bit_generator.state for rng in _streams(seeds)]
+        assert hashed == [2048, 2048]
+        assert states == [np.random.PCG64(seed).state for seed in seeds]
+
     def test_a_block_holds_its_hashes_as_arrays(self):
         # between yields a full block keeps its seeds and their hash words, about 110 bytes
         # a seed; its 2048 (state, inc) pairs of 128-bit ints listed at once would hold
