@@ -22,8 +22,12 @@ imports that side's ``src/``. Both sides get the same inputs:
   ``(n, t, e_max)`` and ``DRAW_SEEDS`` seeds each, and the same seeds drawn
   again as one ``experiments._test_signals`` stack per shape, as a trial chunk
   draws them;
-* ``sample_erasure`` masks at the same ``(n, t)`` and ``MASK_SEEDS``, which
-  also run across ``2**32`` and ``2**64``, where a seed grows a 32-bit word;
+* ``sample_erasure`` masks at the same ``(n, t)`` and ``MASK_SEEDS``, one
+  seed at a time, and the same seeds drawn again as one ``_sample_masks``
+  stack per group of ``MASK_GROUPS``. One-seed calls take numpy's own
+  ``SeedSequence``, so only the stacks reach the block seed kernel: across
+  ``2**32`` and ``2**64``, where a seed grows a 32-bit word, and across
+  ``2**128``, where a block holding a wider seed goes to ``SeedSequence``;
 * a fixed set of CLI runs covering every experiment mode, driven by flags, one
   of them a row-recovery sweep that no row's certificate holds in, one a
   SkewedRows two-stage point whose trials fill several chunks and end in a
@@ -72,7 +76,8 @@ GRID_BUDGETS = (1, 2, 3, 8, 16, 100, 1000, 100_000)
 # and e_max >= log2(t), so each shape suits both profile shapes
 DRAW_SHAPES = ((4, 4, 2), (8, 8, 3), (16, 8, 7), (12, 4, 12), (32, 16, 4), (64, 32, 9))
 DRAW_SEEDS = 200
-MASK_SEEDS = (*range(DRAW_SEEDS), *range(2**32 - 8, 2**32 + 8), *range(2**64 - 8, 2**64 + 8))
+MASK_GROUPS = (range(DRAW_SEEDS), *(range(2**w - 8, 2**w + 8) for w in (32, 64, 128)))
+MASK_SEEDS = tuple(itertools.chain(*MASK_GROUPS))
 MASK_THETA = 0.3
 CERTIFIED_WIDTHS = (9, 10)  # every certified pair: 6,828 and 11,672 rows
 WIDE_ROWS = 300  # rows at n = 256, about ten polish calls
@@ -246,13 +251,17 @@ def _draws(out: Path) -> None:
 
 
 def _masks(out: Path) -> None:
-    from gabor_recover.channel import sample_erasure
+    from gabor_recover.channel import _sample_masks, _streams, sample_erasure
     from gabor_recover.signal import GridDims
 
-    np.savez(out / "masks.npz", **{
-        f"{n}_{t}": np.array([sample_erasure(GridDims(n=n, t=t), MASK_THETA, seed).mask
-                              for seed in MASK_SEEDS])
-        for n, t, _ in DRAW_SHAPES})
+    masks = {}
+    for n, t, _ in DRAW_SHAPES:
+        dims = GridDims(n=n, t=t)
+        masks[f"{n}_{t}"] = np.array([sample_erasure(dims, MASK_THETA, seed).mask
+                                      for seed in MASK_SEEDS])
+        masks[f"stacked_{n}_{t}"] = np.concatenate([
+            _sample_masks(dims, MASK_THETA, _streams(group), len(group)) for group in MASK_GROUPS])
+    np.savez(out / "masks.npz", **masks)
 
 
 def _cli_runs(out: Path) -> None:
@@ -391,7 +400,8 @@ def compare_masks(base: Path, head: Path, tally: Tally) -> str:
             tally.changed += [f"mask {key} seed {seed}" for seed, ok in zip(MASK_SEEDS, same)
                               if not ok]
     return (f"masks: {identical}/{len(b.files) * len(MASK_SEEDS)} bit-identical "
-            f"({len(DRAW_SHAPES)} grid shapes x {len(MASK_SEEDS)} seeds, theta {MASK_THETA})")
+            f"({len(DRAW_SHAPES)} grid shapes x {len(MASK_SEEDS)} seeds, theta {MASK_THETA}, "
+            f"one seed at a time and stacked per seed group)")
 
 
 def _json_leaves(path: Path) -> list:
