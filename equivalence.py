@@ -24,8 +24,8 @@ imports that side's ``src/``. Both sides get the same inputs:
   draws them;
 * ``sample_erasure`` masks at the same ``(n, t)`` and ``MASK_SEEDS``, one
   seed at a time, and the same seeds drawn again as one ``_sample_masks``
-  stack per group of ``MASK_GROUPS``. One-seed calls take numpy's own
-  ``SeedSequence``, so only the stacks reach the block seed kernel: across
+  stack per group of ``MASK_GROUPS``. One-seed calls open numpy's own
+  ``default_rng``, and stacks of any size reach the block seed kernel: across
   ``2**32`` and ``2**64``, where a seed grows a 32-bit word, and across
   ``2**128``, where a block holding a wider seed goes to ``SeedSequence``;
 * a fixed set of CLI runs covering every experiment mode, driven by flags, one

@@ -2,10 +2,10 @@
 
 Every position ``(x, y)`` is lost with probability ``theta``, independently of
 all others, driven by numpy's PCG64 generator so identical ``(dims, theta,
-seed)`` triples give identical patterns on every platform. ``_streams`` is the
-one place a seed becomes a generator, for erasures and test signals alike: it
-gives each seed the stream ``Generator(PCG64(seed))`` starts, bit for bit, with
-numpy's SeedSequence hash run on a block of seeds at once.
+seed)`` triples give identical patterns on every platform. A one-seed call
+opens ``np.random.default_rng(seed)``, that is ``Generator(PCG64(seed))``, and
+``_streams`` gives a stack of seeds, erasures' and test signals' alike, the
+same streams bit for bit, hashing a block of seeds at once as SeedSequence does.
 """
 
 from __future__ import annotations
@@ -119,9 +119,6 @@ _POOL_HASH, _STATE_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 _SEED_BLOCK = 2048  # seeds hashed together, so memory is flat in the count
-# fewer seeds are hashed one by one by numpy's SeedSequence, about 10.5 us a seed; the block
-# kernel takes 85-95 us for up to 12 seeds, so the two meet at 8-10 (2 vCPU, numpy 2.4.6)
-_SEED_FEW = 8
 
 
 def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
@@ -160,13 +157,13 @@ def _seed_words(seeds: list) -> np.ndarray:
 def _streams(seeds):
     """For each int seed >= 0 in order, a Generator in the state ``Generator(PCG64(seed))``
     starts in: the same Generator each time, reseeded as the next is taken, so a seed's
-    draws come first. Hashes are computed ``_SEED_BLOCK`` seeds at a time, by numpy's own
-    SeedSequence in a block of fewer than ``_SEED_FEW`` or one holding a seed of
-    ``2**128`` or more, and each seed's 128-bit state only as it is taken."""
+    draws come first. Hashes are computed ``_SEED_BLOCK`` seeds at a time, by the block
+    kernel, or by numpy's own SeedSequence in a block holding a seed of ``2**128`` or more,
+    and each seed's 128-bit state only as it is taken."""
     bitgen = np.random.PCG64(0)
     rng, seeds, mask = np.random.Generator(bitgen), iter(seeds), (1 << 128) - 1
     while block := list(itertools.islice(seeds, _SEED_BLOCK)):
-        words = _seed_words(block) if _SEED_FEW <= len(block) and max(block) <= mask else (
+        words = _seed_words(block) if max(block) <= mask else (
             np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in block]).T)
         for lo in range(0, len(block), 256):  # 256 seeds' words become Python ints at a time
             for s_hi, s_lo, i_hi, i_lo in words[:, lo:lo + 256].T.tolist():
@@ -191,7 +188,7 @@ def _sample_masks(dims: GridDims, theta: float, rngs, count: int) -> np.ndarray:
 
 def sample_erasure(dims: GridDims, theta: float, seed: int) -> ErasurePattern:
     """Draw one erasure pattern at an int seed >= 0; each position lost independently w.p. theta."""
-    rngs = _streams([_int_at_least(seed, "seed", 0)])
+    rngs = [np.random.default_rng(_int_at_least(seed, "seed", 0))]
     return ErasurePattern(dims=dims, mask=_sample_masks(dims, theta, rngs, 1)[0])
 
 

@@ -102,8 +102,8 @@ def binom_tail_lower(n: int, theta: float, threshold: float) -> float:
 class TailBoundResult:
     """Exact upper tail next to its geometric-series bound.
 
-    ``valid`` is true when the bound's term ratio is strictly below one, i.e.
-    the geometric sum converges and ``lemma_bound`` is finite.
+    ``valid`` is true when the bound's term ratio is strictly below one, so the geometric
+    sum converges and ``lemma_bound`` is finite; for ``n`` below about ``10**9``, always.
     """
 
     exact_tail: float
@@ -117,7 +117,9 @@ def lemma_tail_bound(n: int, theta: float, k: float) -> TailBoundResult:
 
     With ``j = ceil(n*k)``, consecutive pmf terms beyond ``j`` shrink by at
     least ``r = (n-j)*theta / ((j+1)*(1-theta))``, so when ``r < 1`` the tail
-    is at most ``pmf(j) / (1 - r)``. Requires ``0 < theta < k < 1``.
+    is at most ``pmf(j) / (1 - r)``. Requires ``0 < theta < k < 1``, so ``r < 1`` for
+    ``n`` below about ``10**9``: ``j + 1 - (n+1)*theta >= n*(k - theta) + 1 - theta - 1e-9``,
+    or ``j = n`` within 1e-9 of ``theta = 1``. The ``r >= 1`` guard is for floats past that.
     """
     n, theta = _validate_n_theta(n, theta)
     k = _strict_float(k, "k")

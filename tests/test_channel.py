@@ -183,10 +183,10 @@ class TestStreams:
         (rng,) = _streams([seed])
         assert rng.bit_generator.state == np.random.PCG64(seed).state
 
-    @pytest.mark.parametrize("count", [1, channel._SEED_FEW - 1, channel._SEED_FEW])
+    @pytest.mark.parametrize("count", [1, 7, 8])
     def test_a_few_seeds_hash_as_a_block_does(self, count):
-        # below _SEED_FEW seeds numpy's SeedSequence hashes each seed; its words must be
-        # the block kernel's, for seeds of one to three 32-bit words
+        # a block of any size takes the block kernel; its words must be numpy's own
+        # SeedSequence's, for seeds of one to three 32-bit words
         seeds = [0, 7, 2**32 - 1, 2**32 + 1, 2**64 + 5, 2**73 + 12345, 2**33, 5][:count]
         words = _seed_words(seeds)
         for k, seed in enumerate(seeds):
@@ -202,8 +202,8 @@ class TestStreams:
         assert states == [np.random.PCG64(seed).state for seed in seeds]
 
     def test_kernel_states_across_block_boundaries(self, monkeypatch):
-        # 4100 seeds of 0 to 4 words, all below 2**128, so both blocks of 2048 take the
-        # block kernel; the last block holds 4, which numpy's SeedSequence hashes
+        # 4100 seeds of 0 to 4 words, all below 2**128, so every block takes the block
+        # kernel: two of 2048 and the last of 4
         seeds = [k << k % 116 for k in range(4100)]
         assert max(seeds) < 2**128 and max(seeds).bit_length() > 96
         hashed = []
@@ -214,7 +214,7 @@ class TestStreams:
 
         monkeypatch.setattr(channel, "_seed_words", kernel)
         states = [rng.bit_generator.state for rng in _streams(seeds)]
-        assert hashed == [2048, 2048]
+        assert hashed == [2048, 2048, 4]
         assert states == [np.random.PCG64(seed).state for seed in seeds]
 
     def test_a_block_holds_its_hashes_as_arrays(self):

@@ -142,6 +142,14 @@ class TestExperimentCommands:
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"n": 16, "t": 2, "theta": 0.1, "e_max_target": 2}]))
+        code = main(["row-recovery", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*summary.json"))
+
 
 class TestTransformCommand:
     def test_flat_spectrum_to_stdout(self, tmp_path, capsys):
@@ -170,6 +178,14 @@ class TestTransformCommand:
                      "--kind", "gabor-col"])
         assert code == 2
         assert "cannot read signal" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "sig.json"
+        src.write_text(delta_signal_json())
+        code = main(["transform", "--input", str(src), "--kind", "fourier2d",
+                     "--out", str(tmp_path / "missing_dir" / "x.json")])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_malformed_signal_exits_one(self, tmp_path, capsys):
         src = tmp_path / "bad.json"

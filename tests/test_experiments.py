@@ -89,11 +89,20 @@ class TestExperimentConfig:
         ("theta", True), ("theta", "0.1"), ("theta", None), ("tol", True), ("tol", "1e-9"),
         ("trials", True), ("trials", 2.5), ("trials", "4"), ("base_seed", True),
         ("base_seed", None), ("e_max_target", True), ("e_max_target", np.bool_(True)),
+        ("dims", (16, 8)), ("profile_shape", "SkewedRows"),
     ])
     def test_fields_read_strictly_by_name(self, field, value):
         # a bool is never a number here, and each failure names its field
         with pytest.raises(ValueError, match=f"^{field} must be an? "):
             make_config(**{field: value})
+
+    def test_rejects_a_sweep_width_below_one(self):
+        with pytest.raises(ValueError, match="sweep values must be positive"):
+            make_config(sweep=(0, 4))
+
+    def test_from_mapping_rejects_a_list(self):
+        with pytest.raises(ValueError, match="malformed config"):
+            config_from_mapping([1, 2])
 
     def test_sweep_normalized(self):
         cfg = make_config(sweep=[np.int64(8), 16])
@@ -244,6 +253,10 @@ class TestGenerateTestSignal:
         with pytest.raises(ValueError):
             generate_test_signal(GridDims(n=8, t=16), 2, seed=0,
                                  profile_shape=ProfileShape.SkewedRows)
+
+    def test_rejects_a_profile_shape_given_by_its_name(self):
+        with pytest.raises(ValueError, match="unknown profile shape"):
+            generate_test_signal(GridDims(16, 8), 3, 0, "SkewedRows")
 
 
 class TestRunExperiment:
@@ -536,6 +549,15 @@ class TestEmitResults:
         assert lines[0] == "n,t,theta,e_max,c,p_mmax_below,p_mmin_below,exact_tail,lemma_bound,valid"
         assert len(lines) == 2
         assert lines[1].startswith("64,8,") and lines[1].endswith(",true")
+
+    def test_tail_table_csv_leaves_an_unset_bound_empty(self, tmp_path):
+        # theta 0.3 is above k = 1/4, so the row has no lemma bound
+        cfg = make_config(dims=GridDims(n=64, t=8), theta=0.3, e_max_target=2,
+                          mode=ExperimentMode.TailBounds, trials=1)
+        paths = emit_results(*run_experiment(cfg), tmp_path)
+        table = next(p for p in paths if p.name.endswith("_table.csv"))
+        row = table.read_text().splitlines()[1]
+        assert row.startswith("64,8,0.29999999999999999,2,") and row.endswith(",,false")
 
     def test_io_error_has_path_context(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gabor_recover.probbounds import (
     TailBoundResult,
@@ -217,6 +217,18 @@ class TestLemmaTailBound:
                     assert 0.0 <= res.exact_tail <= 1.0
                     if res.valid:
                         assert res.exact_tail <= res.lemma_bound * (1 + 1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 10**5), a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           b=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), one_ulp=st.booleans())
+    def test_bound_is_valid_whenever_theta_is_below_k(self, n, a, b, one_ulp):
+        # j = ceil(n*k) >= n*k, so j + 1 - (n+1)*theta >= n*(k - theta) + 1 - theta > 0,
+        # which is r < 1; near theta = 1, j = n and r = 0
+        theta = min(a, b)
+        k = math.nextafter(theta, 1.0) if one_ulp else max(a, b)
+        assume(theta < k < 1.0)
+        res = lemma_tail_bound(n, theta, k)
+        assert res.valid and math.isfinite(res.lemma_bound)
 
 
 class TestProbMmaxBelow:

@@ -371,6 +371,12 @@ class TestL1Recover1d:
         with pytest.raises(ValueError):
             l1_recover_1d({0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, {1}, 4)
 
+    @pytest.mark.parametrize("position", [4, -1])
+    def test_rejects_missing_position_outside_the_row(self, position):
+        # every position of the row is observed, so only the range check can refuse it
+        with pytest.raises(ValueError, match="missing positions must lie in range"):
+            l1_recover_1d({0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, {position}, 4)
+
     @BOTH_DOMAINS
     def test_soundness_on_certified_instances(self, rng, domain):
         # whenever the product test passes, the oracle agrees and the solver
@@ -450,6 +456,33 @@ class TestL1RecoverMany:
     def test_rejects_zero_width_rows(self):
         with pytest.raises(ValueError, match="width n"):
             l1_recover_many(np.ones((1, 0), dtype=complex), np.zeros((1, 0), dtype=bool))
+
+    @pytest.mark.parametrize("values, mask", [
+        (np.ones((1, 4)), np.zeros((1, 5), dtype=bool)),
+        (np.ones(4), np.zeros(4, dtype=bool)),
+    ], ids=["widths-differ", "one-dimensional"])
+    def test_rejects_values_and_mask_of_other_shapes(self, values, mask):
+        with pytest.raises(ValueError, match="must share a"):
+            l1_recover_many(values, mask)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imaginary-inf"])
+    def test_nonfinite_values_refused_where_observed_only(self, bad):
+        masks = np.array([[True, False, False, False]])
+        vals = np.ones((1, 4), dtype=complex)
+        vals[0, 2] = bad
+        with pytest.raises(ValueError, match="observed values must be finite"):
+            l1_recover_many(vals, masks)
+        # at a missing position the value is never read
+        vals = np.ones((1, 4), dtype=complex)
+        got = l1_recover_many(vals, masks)
+        vals[0, 0] = bad
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(l1_recover_many(vals, masks), got))
+
+    def test_rejects_a_domain_given_by_its_name(self):
+        with pytest.raises(ValueError, match="unknown domain"):
+            l1_recover_many(np.ones((1, 4), dtype=complex), np.zeros((1, 4), dtype=bool),
+                            domain="MinimizeSignalL1")
 
     def test_polish_memory_flat_across_erasure_patterns(self):
         # every row has its own erasure pattern, so nothing built per pattern

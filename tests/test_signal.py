@@ -156,6 +156,10 @@ class TestSupportProfile:
                 SupportProfile(bad)
         assert SupportProfile((np.int64(2), 3.0, 0)).row_supports == (2, 3, 0)
 
+    def test_rejects_negative_sizes(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SupportProfile((1, -1))
+
 
 class TestColumnSupportMax:
     def test_zero(self):
@@ -213,3 +217,8 @@ class TestJson:
     def test_rejects_bad_payload(self):
         with pytest.raises(ValueError):
             signal_from_json(json.dumps({"n": 2, "t": 2, "re": [1, 2, 3], "im": [0, 0, 0]}))
+
+    @pytest.mark.parametrize("text", ['{"n": 2}', "[1, 2]"], ids=["missing-keys", "list"])
+    def test_rejects_payload_that_is_not_a_signal_object(self, text):
+        with pytest.raises(ValueError, match="malformed signal JSON"):
+            signal_from_json(text)
