@@ -21,7 +21,11 @@ imports that side's ``src/``. Both sides get the same inputs:
 * ``generate_test_signal`` draws of both profile shapes at several
   ``(n, t, e_max)`` and ``DRAW_SEEDS`` seeds each, and the same seeds drawn
   again as one ``experiments._test_signals`` stack per shape, as a trial chunk
-  draws them;
+  draws them. A one-seed draw makes numpy's own Generator calls, and a
+  SkewedRows stack reads each seed's draws from its raw PCG64 words. A small
+  group of its own draws SkewedRows signals at ``TAIL_DRAW``, where numpy's
+  ``choice`` shuffles the tail of ``arange(n)`` in place of Floyd's algorithm,
+  for ``TAIL_DRAW_SEEDS`` seeds, one at a time and stacked;
 * ``sample_erasure`` masks at the same ``(n, t)`` and ``MASK_SEEDS``, one
   seed at a time, and the same seeds drawn again as one ``_sample_masks``
   stack per group of ``MASK_GROUPS``. One-seed calls open numpy's own
@@ -76,6 +80,8 @@ GRID_BUDGETS = (1, 2, 3, 8, 16, 100, 1000, 100_000)
 # and e_max >= log2(t), so each shape suits both profile shapes
 DRAW_SHAPES = ((4, 4, 2), (8, 8, 3), (16, 8, 7), (12, 4, 12), (32, 16, 4), (64, 32, 9))
 DRAW_SEEDS = 200
+# n > 10000 and e_max > n // 50: SkewedRows only, as UniformRows grids this wide are dense
+TAIL_DRAW, TAIL_DRAW_SEEDS = (10001, 4, 201), 3
 MASK_GROUPS = (range(DRAW_SEEDS), *(range(2**w - 8, 2**w + 8) for w in (32, 64, 128)))
 MASK_SEEDS = tuple(itertools.chain(*MASK_GROUPS))
 MASK_THETA = 0.3
@@ -247,6 +253,10 @@ def _draws(out: Path) -> None:
                                    for seed in range(DRAW_SEEDS)])
             draws[f"stacked_{key}"] = _test_signals(dims, e_max, _streams(range(DRAW_SEEDS)),
                                                     DRAW_SEEDS, shape)
+    (n, t, e_max), seeds, shape = TAIL_DRAW, range(TAIL_DRAW_SEEDS), ProfileShape.SkewedRows
+    dims, key = GridDims(n=n, t=t), f"{shape.value}_{n}_{t}_{e_max}"
+    draws[key] = np.array([generate_test_signal(dims, e_max, seed, shape).values for seed in seeds])
+    draws[f"stacked_{key}"] = _test_signals(dims, e_max, _streams(seeds), len(seeds), shape)
     np.savez(out / "draws.npz", **draws)
 
 
@@ -378,16 +388,18 @@ def compare_grids(base: Path, head: Path, tally: Tally) -> str:
 
 def compare_draws(base: Path, head: Path, tally: Tally) -> str:
     with np.load(base / "draws.npz") as b, np.load(head / "draws.npz") as h:
-        identical = 0
+        identical = total = 0
         for key in b.files:
             bk, hk = b[key], h[key]
             tally.float_drift("values", bk, hk)
             identical += sum(x.tobytes() == y.tobytes() for x, y in zip(bk, hk))
+            total += len(bk)
             # a draw's support is a decision; its entries are of modulus about 1
             moved = np.flatnonzero(((np.abs(bk) > 1e-9) != (np.abs(hk) > 1e-9)).any(axis=(1, 2)))
             tally.changed += [f"draw {key} seed {seed}: support" for seed in moved]
-    return (f"draws: {identical}/{len(b.files) * DRAW_SEEDS} bit-identical "
+    return (f"draws: {identical}/{total} bit-identical "
             f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes, "
+            f"and SkewedRows at {TAIL_DRAW} x {TAIL_DRAW_SEEDS} seeds, "
             f"one seed at a time and stacked)")
 
 

@@ -188,7 +188,11 @@ def _skewed_levels(t: int, e_max_target: int) -> int:
 
 def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
                   profile_shape: ProfileShape) -> np.ndarray:
-    """The signals the next ``count`` streams of ``rngs`` draw, stacked ``(count, t, n)``."""
+    """The signals the next ``count`` streams of ``rngs`` draw, stacked ``(count, t, n)``.
+
+    A SkewedRows stack reads each stream's draws from its raw PCG64 words by the installed
+    numpy's Generator rules (:func:`_skewed_draws`), and the tests check them against numpy's
+    own calls."""
     n, t = dims.n, dims.t
     if not (1 <= e_max_target <= n):
         raise ValueError(f"e_max_target must lie in [1, n={n}], got {e_max_target}")
@@ -205,15 +209,9 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
 
     # one column per dyadic level first, extras rotate from the largest coset down
     levels = np.sort(np.arange(e_max_target) % _skewed_levels(t, e_max_target)) + 1
-    # each seed's scalar draws in their old order: integers() keeps half a word between calls
-    cols, dense_rows, draws = [], [], []
-    for _, rng in zip(range(count), rngs):
-        cols.append(rng.choice(n, size=e_max_target, replace=False))
-        dense_rows.append(rng.integers(t))
-        draws += [(rng.integers(t), rng.random()) for _ in range(e_max_target)]
-    draws = np.array(draws).reshape(count, e_max_target, 2)
-    freq, amp = draws[..., 0].astype(int), np.exp(2j * np.pi * draws[..., 1])
-    rot = np.exp(-2j * np.pi * np.array(dense_rows)[:, None] / (1 << levels))
+    cols, dense_rows, freq, phase = _skewed_draws(rngs, count, n, t, e_max_target)
+    amp = np.exp(2j * np.pi * phase)
+    rot = np.exp(-2j * np.pi * dense_rows[:, None] / (1 << levels))
     # amp * rot as numpy's scalar product rounds it; the array product may fuse a multiply-add
     pair = np.empty_like(amp)
     pair.real = amp.real * rot.real - amp.imag * rot.imag
@@ -221,9 +219,111 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
     # each column: two waves down the time axis, t >> level frequencies apart
     waves = np.exp(2j * np.pi * np.arange(t)[:, None] * np.arange(t) / t)  # row f: frequency f
     columns = amp[..., None] * waves[freq] + pair[..., None] * waves[(freq + (t >> levels)) % t]
-    np.put_along_axis(vals, np.array(cols, dtype=int).reshape(count, 1, e_max_target),
-                      columns.transpose(0, 2, 1), axis=2)
+    np.put_along_axis(vals, cols[:, None, :], columns.transpose(0, 2, 1), axis=2)
     return vals
+
+
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+_SPARE_WORDS = 1  # prefetched past a stream's need: room for two rejected 32-bit draws
+
+
+def _reads_after(half: int, e: int):
+    """Where ``integers(t)`` and then ``e`` pairs of ``integers(t)``, ``random()`` read a stream
+    whose first ``half`` 32-bit draws are taken: the halves the integers read, and the words
+    the randoms read."""
+    halves, words = [half], []
+    word, spare = half // 2 + 1, half + 1 if half % 2 == 0 else None
+    for _ in range(e):
+        if spare is None:  # a 32-bit draw takes a word's low half and keeps its high half
+            halves.append(2 * word)
+            spare, word = 2 * word + 1, word + 1
+        else:
+            halves.append(spare)
+            spare = None
+        words.append(word)  # random() takes a fresh word and leaves the kept half alone
+        word += 1
+    return halves, words
+
+
+def _swap_down(idx: np.ndarray, first: int, draws: np.ndarray) -> None:
+    """numpy's shuffle of each row of ``idx`` from its last column down to ``first``: column
+    ``i`` swaps with the column its draw names, the draws' columns taken in that order."""
+    rows = np.arange(len(idx))
+    for i, j in zip(range(idx.shape[1] - 1, first - 1, -1), draws.T):
+        held = idx[rows, j]
+        idx[rows, j] = idx[:, i]
+        idx[:, i] = held
+
+
+def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
+    """What the next ``count`` streams of ``rngs``, each at its start, draw for a SkewedRows
+    signal: ``choice(n, e, replace=False)``, ``integers(t)``, then ``e`` pairs of
+    ``integers(t)`` and ``random()``, as the arrays ``(cols, dense_rows, freq, phase)``.
+
+    Each stream gives its raw PCG64 words in one call, and the installed numpy's Generator
+    rules are applied to them as arrays, which the tests check against numpy's own calls.
+    A 32-bit draw takes a word's low half and keeps the high half for the next one;
+    ``random()`` takes a fresh word ``w`` as ``(w >> 11) * 2**-53``. A draw in ``[0, b]`` is
+    Lemire's: ``m = h * (b + 1)``, drawn again while ``m``'s low 32 bits fall below
+    ``2**32 % (b + 1)``, and ``m >> 32``. ``choice`` is Floyd's algorithm followed by a
+    shuffle of its picks or, for ``n > 10000`` and ``e > n // 50``, a shuffle of the tail of
+    ``arange(n)`` (bounds past ``2**32 - 1``, numpy's 64-bit draws, would need a grid of
+    ``2**34`` entries)."""
+    tail = n > 10000 and e > n // 50
+    if tail:
+        bounds = list(range(n - 1, max(n - e, 1) - 1, -1))
+    else:  # Floyd's draws, none for a bound of 0, then the shuffle's
+        bounds = [j for j in range(n - e, n) if j] + list(range(e - 1, 0, -1))
+    spans = np.array(bounds, dtype=np.uint64) + np.uint64(1)
+    reject_below = (1 << 32) % spans
+    # the reads after choice's draws, from an even and from an odd count of halves taken
+    ints_at, reals_at = (np.array(at) for at in zip(*(_reads_after(p, e) for p in (0, 1))))
+    draws = len(bounds)
+    width = int(reals_at[draws % 2, -1]) + draws // 2 + 1 + _SPARE_WORDS
+    states, words = [], np.empty((count, width), dtype=np.uint64)
+    for row, rng in zip(words, rngs):
+        states.append(rng.bit_generator.state)  # to draw again should rejections outrun the row
+        row[:] = rng.bit_generator.random_raw(width)
+    rows = np.arange(count)[:, None]
+    while True:
+        halves = words.astype("<u8", copy=False).view("<u4")  # each word's low half first
+        at = np.zeros((count, 1), dtype=np.intp) + np.arange(draws)  # each draw's half
+        m = halves[:, :draws] * spans
+        while (redraw := (m & _LOW_HALF) < reject_below).any():
+            at += np.logical_or.accumulate(redraw, axis=1)  # the rejected draw and all after
+            if at[:, -1].max() >= halves.shape[1]:
+                break
+            m = halves[rows, at] * spans
+        taken = at[:, -1] + 1
+        odd = taken % 2
+        int_at = ints_at[odd] + (taken - odd)[:, None]
+        real_at = reals_at[odd] + (taken // 2)[:, None]
+        short = real_at[:, -1] >= words.shape[1]
+        if not short.any():
+            break
+        # a stream whose rejections outran its words draws twice as many again from its start
+        words = np.concatenate((words, words), axis=1)
+        bitgen = np.random.PCG64(0)
+        for i in np.flatnonzero(short):
+            bitgen.state = states[i]
+            words[i] = bitgen.random_raw(words.shape[1])
+    picks = (m >> np.uint64(32)).astype(np.intp)
+    if tail:
+        cols = np.zeros((count, 1), dtype=np.intp) + np.arange(n)
+        _swap_down(cols, max(n - e, 1), picks)
+        cols = cols[:, n - e:]
+    else:
+        floyd = draws - (e - 1)
+        picks = np.concatenate((np.zeros((count, e - floyd), dtype=np.intp), picks), axis=1)
+        cols = np.empty((count, e), dtype=np.intp)
+        for k, j in enumerate(range(n - e, n)):  # a pick already taken takes j instead
+            seen = (cols[:, :k] == picks[:, k, None]).any(axis=1)
+            cols[:, k] = np.where(seen, j, picks[:, k])
+        _swap_down(cols, 1, picks[:, e:])
+    # integers(t) is Lemire's draw with nothing to reject, as t is a power of two
+    ints = (halves[rows, int_at] * np.uint64(t) >> np.uint64(32)).astype(int)
+    phase = (words[rows, real_at] >> np.uint64(11)) * 2.0 ** -53
+    return cols, ints[:, 0], ints[:, 1:], phase
 
 
 def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,

@@ -29,14 +29,13 @@ from gabor_recover.signal import GridDims, Signal2D, column_support_max, support
 from gabor_recover.transforms import gabor_col, gabor_row
 
 
-def skewed_one_column_at_a_time(dims, e_max, seed):
-    """A SkewedRows grid drawn one column at a time with numpy scalar products: the stack's
-    reference."""
+def skewed_one_column_at_a_time(dims, e_max, rng):
+    """A SkewedRows grid drawn one column at a time with numpy's scalar Generator calls and
+    scalar products: the stack's reference. ``rng`` is a Generator at its stream's start."""
     n, t = dims.n, dims.t
     levels = (np.sort(np.arange(e_max) % (t.bit_length() - 1)) + 1).tolist()
     y = np.arange(t)
     grid = np.zeros((t, n), dtype=np.complex128)
-    rng = np.random.Generator(np.random.PCG64(seed))
     cols = rng.choice(n, size=e_max, replace=False)
     dense_row = int(rng.integers(t))
     for col, level in zip(cols, levels):
@@ -215,17 +214,79 @@ class TestGenerateTestSignal:
         for seed, grid in zip(seeds, stack):
             assert generate_test_signal(dims, 4, seed, shape).values.tobytes() == grid.tobytes()
 
-    @pytest.mark.parametrize("n, t, e_max", [(32, 8, 3), (256, 8, 5), (16, 16, 7), (5, 4, 4)],
-                             ids=["32x8", "256x8-extra-columns", "16x16-extra-columns",
-                                  "5x4-e-twice-the-levels"])
-    def test_skewed_stack_matches_one_column_at_a_time(self, n, t, e_max):
-        # the stack builds every wave in one broadcast; each must equal the scalar-product
-        # column loop bit for bit, which an array product amp * rot does not at t >= 8
-        dims, seeds = GridDims(n=n, t=t), range(300, 500)
+    @pytest.mark.parametrize("n, t, e_max, seeds", [
+        (32, 8, 3, 1000), (256, 8, 5, 1000), (16, 16, 7, 1000), (5, 4, 4, 1000),
+        (12, 4, 12, 1000), (64, 32, 5, 1000), (10001, 4, 201, 4),
+    ], ids=["32x8", "256x8-extra-columns", "16x16-extra-columns", "5x4-e-twice-the-levels",
+            "12x4-e-equals-n", "64x32", "10001x4-tail-shuffle"])
+    def test_skewed_stack_matches_one_column_at_a_time(self, n, t, e_max, seeds):
+        # the stack reads each seed's draws from its raw words and builds every wave in one
+        # broadcast; each grid must equal numpy's scalar calls and scalar-product columns bit for
+        # bit, which an array product amp * rot does not at t >= 8. e_max == n gives Floyd a
+        # first draw in [0, 0], which takes no word, and 10001 > 10000 with 201 > 10001 // 50
+        # takes numpy's tail shuffle of arange(n) in place of Floyd's algorithm
+        dims, seeds = GridDims(n=n, t=t), range(300, 300 + seeds)
         stack = experiments._test_signals(dims, e_max, _streams(seeds), len(seeds),
                                           ProfileShape.SkewedRows)
         for seed, grid in zip(seeds, stack):
-            assert grid.tobytes() == skewed_one_column_at_a_time(dims, e_max, seed).tobytes()
+            want = skewed_one_column_at_a_time(dims, e_max, np.random.default_rng(seed))
+            assert grid.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _stream_with_zero_words(first: int, inc: int):
+        """A Generator whose raw word ``first`` is 0, and the word after it too when ``inc`` is
+        ``2**64 + 1``: PCG64 outputs the xor of its new state's halves, rotated, so a state
+        with equal halves gives 0. The start state is that one stepped back ``first + 1``."""
+        mult, mod = 0x2360ED051FC65DA44385DF649FCCF645, 1 << 128
+        state = 0
+        for _ in range(first + 1):
+            state = (state - inc) * pow(mult, -1, mod) % mod
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        return rng
+
+    @staticmethod
+    def _words_taken(rng, draw) -> int:
+        """How many raw words ``draw(rng)`` takes from ``rng``'s stream."""
+        start = rng.bit_generator.state
+        draw(rng)
+        end = rng.bit_generator.state["state"]["state"]
+        replay = np.random.PCG64(0)
+        replay.state = start
+        for taken in range(64):
+            if replay.state["state"]["state"] == end:
+                return taken
+            replay.random_raw()
+        raise AssertionError("more than 64 words taken")
+
+    # n=32, e_max=3: Floyd draws in [0, 29], [0, 30], [0, 31], on halves 0-2, and the shuffle in
+    # [0, 2], [0, 1] on halves 3-4. A 0 half is rejected below 2**32 % 30 = 16 and
+    # 2**32 % 3 = 1, but not for [0, 31] or [0, 1], whose spans are powers of two.
+    @pytest.mark.parametrize("first, inc, extra", [
+        (0, 0x9E3779B97F4A7C15F39CC0605CEDC835, 1),
+        (1, 0x9E3779B97F4A7C15F39CC0605CEDC835, 0),
+        (0, (1 << 64) + 1, 2),
+    ], ids=["floyd-rejects-twice-using-up-the-prefetch", "shuffle-rejects-once",
+            "floyd-rejects-four-times-past-the-prefetch"])
+    def test_skewed_draws_reject_as_numpy_does(self, first, inc, extra):
+        # Lemire's rejection redraws a 32-bit draw whose product's low half falls below
+        # 2**32 % span, so the stack must skip the same halves numpy's scalar calls skip, and
+        # take more words for a stream whose rejections outrun the words it prefetched
+        dims, e_max = GridDims(n=32, t=8), 3
+
+        def draw(rng):
+            return skewed_one_column_at_a_time(dims, e_max, rng)
+
+        # a stream without rejections takes `plain` words, and the stack prefetches one more
+        plain = self._words_taken(np.random.default_rng(7), draw)
+        assert experiments._SPARE_WORDS == 1
+        want = draw(self._stream_with_zero_words(first, inc))
+        assert (self._words_taken(self._stream_with_zero_words(first, inc), draw)
+                == plain + extra)
+        stack = experiments._test_signals(dims, e_max, [self._stream_with_zero_words(first, inc)],
+                                          1, ProfileShape.SkewedRows)
+        assert stack[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
     @pytest.mark.parametrize("seed", [None, True, np.bool_(True), 3.0, 2.5, "3", -1],
