@@ -21,8 +21,8 @@ imports that side's ``src/``. Both sides get the same inputs:
 * ``generate_test_signal`` draws of both profile shapes at several
   ``(n, t, e_max)`` and ``DRAW_SEEDS`` seeds each, and the same seeds drawn
   again as one ``experiments._test_signals`` stack per shape, as a trial chunk
-  draws them. A one-seed draw makes numpy's own Generator calls, and a
-  SkewedRows stack reads each seed's draws from its raw PCG64 words. A small
+  draws them. A one-seed draw opens numpy's own ``default_rng``, and both
+  read a SkewedRows seed's draws from its raw PCG64 words. A small
   group of its own draws SkewedRows signals at ``TAIL_DRAW``, where numpy's
   ``choice`` shuffles the tail of ``arange(n)`` in place of Floyd's algorithm,
   for ``TAIL_DRAW_SEEDS`` seeds, one at a time and stacked;

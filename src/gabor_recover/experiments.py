@@ -277,7 +277,8 @@ def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
     spans = np.array(bounds, dtype=np.uint64) + np.uint64(1)
     reject_below = (1 << 32) % spans
     # the reads after choice's draws, from an even and from an odd count of halves taken
-    ints_at, reals_at = (np.array(at) for at in zip(*(_reads_after(p, e) for p in (0, 1))))
+    reads = [_reads_after(taken, e) for taken in (0, 1)]
+    ints_at, reals_at = np.array([r[0] for r in reads]), np.array([r[1] for r in reads])
     draws = len(bounds)
     width = int(reals_at[draws % 2, -1]) + draws // 2 + 1 + _SPARE_WORDS
     states, words = [], np.empty((count, width), dtype=np.uint64)
