@@ -8,7 +8,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from gabor_recover import experiments
-from gabor_recover.channel import _streams, apply_erasure, erasure_stats, sample_erasure
+from gabor_recover.channel import (_PCG64_MULT, _streams, apply_erasure, erasure_stats,
+                                   sample_erasure)
 from gabor_recover.experiments import (
     EXACT_REL_TOL,
     TRIAL_CSV_HEADER,
@@ -237,10 +238,9 @@ class TestGenerateTestSignal:
         """A Generator whose raw word ``first`` is 0, and the word after it too when ``inc`` is
         ``2**64 + 1``: PCG64 outputs the xor of its new state's halves, rotated, so a state
         with equal halves gives 0. The start state is that one stepped back ``first + 1``."""
-        mult, mod = 0x2360ED051FC65DA44385DF649FCCF645, 1 << 128
-        state = 0
+        mod, state = 1 << 128, 0
         for _ in range(first + 1):
-            state = (state - inc) * pow(mult, -1, mod) % mod
+            state = (state - inc) * pow(_PCG64_MULT, -1, mod) % mod
         rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
