@@ -150,12 +150,16 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     """Build a config from a plain mapping (the JSON config file format).
 
     A key left out takes the field's default, as does an ``output_path`` of
-    ``null``. A missing required key, a value of the wrong type or a non-integral
-    number in an integer field is a ValueError. Number fields take JSON numbers
-    only, never a bool, string or null, and ``sweep`` takes a list.
+    ``null``. A missing required key, a key that names no field, a value of the
+    wrong type or a non-integral number in an integer field is a ValueError.
+    Number fields take JSON numbers only, never a bool, string or null, and
+    ``sweep`` takes a list.
     """
     # ExperimentConfig reads every other field by name; GridDims takes no integral float
     optional = ("trials", "base_seed", "sweep", "tol", "output_path")
+    if isinstance(data, dict) and (unknown := data.keys() - {
+            "n", "t", "theta", "e_max_target", "mode", "profile_shape", *optional}):
+        raise ValueError(f"config has unknown fields {sorted(map(str, unknown))}")
     try:
         return ExperimentConfig(
             dims=GridDims(n=_strict_int(data["n"], "n"), t=_strict_int(data["t"], "t")),
@@ -190,9 +194,10 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
                   profile_shape: ProfileShape) -> np.ndarray:
     """The signals the next ``count`` streams of ``rngs`` draw, stacked ``(count, t, n)``.
 
-    A SkewedRows stack reads each stream's draws from its raw PCG64 words by the installed
-    numpy's Generator rules (:func:`_skewed_draws`), and the tests check them against numpy's
-    own calls."""
+    A SkewedRows stack reads a stream's draws from its raw PCG64 words by the installed
+    numpy's Generator rules when Lemire's bounded draws reject nothing, and by numpy's own
+    calls when they do or ``choice`` shuffles the tail of ``arange(n)``
+    (:func:`_skewed_draws`); the tests check both against numpy's own calls."""
     n, t = dims.n, dims.t
     if not (1 <= e_max_target <= n):
         raise ValueError(f"e_max_target must lie in [1, n={n}], got {e_max_target}")
@@ -224,7 +229,6 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
 
 
 _LOW_HALF = np.uint64(0xFFFFFFFF)
-_SPARE_WORDS = 1  # prefetched past a stream's need: room for two rejected 32-bit draws
 
 
 def _reads_after(half: int, e: int):
@@ -245,14 +249,21 @@ def _reads_after(half: int, e: int):
     return halves, words
 
 
-def _swap_down(idx: np.ndarray, first: int, draws: np.ndarray) -> None:
-    """numpy's shuffle of each row of ``idx`` from its last column down to ``first``: column
+def _swap_down(idx: np.ndarray, draws: np.ndarray) -> None:
+    """numpy's shuffle of each row of ``idx`` from its last column down to its second: column
     ``i`` swaps with the column its draw names, the draws' columns taken in that order."""
     rows = np.arange(len(idx))
-    for i, j in zip(range(idx.shape[1] - 1, first - 1, -1), draws.T):
+    for i, j in zip(range(idx.shape[1] - 1, 0, -1), draws.T):
         held = idx[rows, j]
         idx[rows, j] = idx[:, i]
         idx[:, i] = held
+
+
+def _numpy_draws(rng, n: int, t: int, e: int):
+    """One stream's SkewedRows draws by numpy's own calls, as :func:`_skewed_draws` gives them."""
+    cols, dense_row = rng.choice(n, e, replace=False), rng.integers(t)
+    freq, phase = zip(*((rng.integers(t), rng.random()) for _ in range(e)))
+    return cols, dense_row, freq, phase
 
 
 def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
@@ -260,71 +271,46 @@ def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
     signal: ``choice(n, e, replace=False)``, ``integers(t)``, then ``e`` pairs of
     ``integers(t)`` and ``random()``, as the arrays ``(cols, dense_rows, freq, phase)``.
 
-    Each stream gives its raw PCG64 words in one call, and the installed numpy's Generator
-    rules are applied to them as arrays, which the tests check against numpy's own calls.
-    A 32-bit draw takes a word's low half and keeps the high half for the next one;
-    ``random()`` takes a fresh word ``w`` as ``(w >> 11) * 2**-53``. A draw in ``[0, b]`` is
-    Lemire's: ``m = h * (b + 1)``, drawn again while ``m``'s low 32 bits fall below
-    ``2**32 % (b + 1)``, and ``m >> 32``. ``choice`` is Floyd's algorithm followed by a
-    shuffle of its picks or, for ``n > 10000`` and ``e > n // 50``, a shuffle of the tail of
-    ``arange(n)`` (bounds past ``2**32 - 1``, numpy's 64-bit draws, would need a grid of
-    ``2**34`` entries)."""
-    tail = n > 10000 and e > n // 50
-    if tail:
-        bounds = list(range(n - 1, max(n - e, 1) - 1, -1))
-    else:  # Floyd's draws, none for a bound of 0, then the shuffle's
-        bounds = [j for j in range(n - e, n) if j] + list(range(e - 1, 0, -1))
+    Nearly every stream draws in one layout, which the installed numpy's Generator rules fix
+    and which is read from its raw PCG64 words as arrays: ``choice`` is Floyd's algorithm
+    and a shuffle of its picks, their draws take the stream's first 32-bit halves, and none
+    is rejected. A 32-bit draw takes a word's low half and keeps the high half for the next
+    one, and a draw in ``[0, b]`` is Lemire's ``h * (b + 1) >> 32``; ``random()`` takes a
+    fresh word ``w`` as ``(w >> 11) * 2**-53``. A stream whose ``h * (b + 1)`` has its low 32
+    bits below ``2**32 % (b + 1)``, so that Lemire draws again, is redrawn from its start by
+    numpy's own calls, as is every stream when ``n > 10000`` and ``e > n // 50``, where
+    ``choice`` shuffles the tail of ``arange(n)`` instead. The tests check both paths
+    against numpy's own calls."""
+    if n > 10000 and e > n // 50:
+        draws = [_numpy_draws(rng, n, t, e) for _, rng in zip(range(count), rngs)]
+        return tuple(np.array(column) for column in zip(*draws))
+    # Floyd's draws, none for a bound of 0, then the shuffle's
+    bounds = [j for j in range(n - e, n) if j] + list(range(e - 1, 0, -1))
     spans = np.array(bounds, dtype=np.uint64) + np.uint64(1)
-    reject_below = (1 << 32) % spans
-    # the reads after choice's draws, from an even and from an odd count of halves taken
-    reads = [_reads_after(taken, e) for taken in (0, 1)]
-    ints_at, reals_at = np.array([r[0] for r in reads]), np.array([r[1] for r in reads])
-    draws = len(bounds)
-    width = int(reals_at[draws % 2, -1]) + draws // 2 + 1 + _SPARE_WORDS
-    states, words = [], np.empty((count, width), dtype=np.uint64)
+    ints_at, reals_at = _reads_after(len(bounds), e)
+    states, words = [], np.empty((count, reals_at[-1] + 1), dtype=np.uint64)
     for row, rng in zip(words, rngs):
-        states.append(rng.bit_generator.state)  # to draw again should rejections outrun the row
-        row[:] = rng.bit_generator.random_raw(width)
-    rows = np.arange(count)[:, None]
-    while True:
-        halves = words.astype("<u8", copy=False).view("<u4")  # each word's low half first
-        at = np.zeros((count, 1), dtype=np.intp) + np.arange(draws)  # each draw's half
-        m = halves[:, :draws] * spans
-        while (redraw := (m & _LOW_HALF) < reject_below).any():
-            at += np.logical_or.accumulate(redraw, axis=1)  # the rejected draw and all after
-            if at[:, -1].max() >= halves.shape[1]:
-                break
-            m = halves[rows, at] * spans
-        taken = at[:, -1] + 1
-        odd = taken % 2
-        int_at = ints_at[odd] + (taken - odd)[:, None]
-        real_at = reals_at[odd] + (taken // 2)[:, None]
-        short = real_at[:, -1] >= words.shape[1]
-        if not short.any():
-            break
-        # a stream whose rejections outran its words draws twice as many again from its start
-        words = np.concatenate((words, words), axis=1)
-        bitgen = np.random.PCG64(0)
-        for i in np.flatnonzero(short):
-            bitgen.state = states[i]
-            words[i] = bitgen.random_raw(words.shape[1])
-    picks = (m >> np.uint64(32)).astype(np.intp)
-    if tail:
-        cols = np.zeros((count, 1), dtype=np.intp) + np.arange(n)
-        _swap_down(cols, max(n - e, 1), picks)
-        cols = cols[:, n - e:]
-    else:
-        floyd = draws - (e - 1)
-        picks = np.concatenate((np.zeros((count, e - floyd), dtype=np.intp), picks), axis=1)
-        cols = np.empty((count, e), dtype=np.intp)
-        for k, j in enumerate(range(n - e, n)):  # a pick already taken takes j instead
-            seen = (cols[:, :k] == picks[:, k, None]).any(axis=1)
-            cols[:, k] = np.where(seen, j, picks[:, k])
-        _swap_down(cols, 1, picks[:, e:])
+        states.append(rng.bit_generator.state)  # to draw again should Lemire reject
+        row[:] = rng.bit_generator.random_raw(len(row))
+    halves = words.astype("<u8", copy=False).view("<u4")  # each word's low half first
+    m = halves[:, :len(bounds)] * spans
+    floyd = len(bounds) - (e - 1)
+    picks = np.concatenate((np.zeros((count, e - floyd), dtype=np.intp),
+                            (m >> np.uint64(32)).astype(np.intp)), axis=1)
+    cols = np.empty((count, e), dtype=np.intp)
+    for k, j in enumerate(range(n - e, n)):  # a pick already taken takes j instead
+        seen = (cols[:, :k] == picks[:, k, None]).any(axis=1)
+        cols[:, k] = np.where(seen, j, picks[:, k])
+    _swap_down(cols, picks[:, e:])
     # integers(t) is Lemire's draw with nothing to reject, as t is a power of two
-    ints = (halves[rows, int_at] * np.uint64(t) >> np.uint64(32)).astype(int)
-    phase = (words[rows, real_at] >> np.uint64(11)) * 2.0 ** -53
-    return cols, ints[:, 0], ints[:, 1:], phase
+    ints = (halves[:, ints_at] * np.uint64(t) >> np.uint64(32)).astype(int)
+    dense_rows, freq = ints[:, 0], ints[:, 1:]
+    phase = (words[:, reals_at] >> np.uint64(11)) * 2.0 ** -53
+    rng = np.random.Generator(np.random.PCG64(0))  # each stream Lemire rejects in, from its start
+    for i in np.flatnonzero(((m & _LOW_HALF) < (1 << 32) % spans).any(axis=1)):
+        rng.bit_generator.state = states[i]
+        cols[i], dense_rows[i], freq[i], phase[i] = _numpy_draws(rng, n, t, e)
+    return cols, dense_rows, freq, phase
 
 
 def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,

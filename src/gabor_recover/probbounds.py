@@ -170,6 +170,9 @@ def support_budget(theta: float, t: int) -> tuple[int, int]:
     theta = _strict_float(theta, "theta")
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    per_row = _ceil_snapped(1.0 / (2.0 * theta)) - 1
+    reach = 1.0 / (2.0 * theta)
+    if not math.isfinite(reach):
+        raise ValueError(f"theta={theta} is too small: 1/(2*theta) is not finite")
+    per_row = _ceil_snapped(reach) - 1
     per_row = max(per_row, 0)
     return per_row, t * per_row

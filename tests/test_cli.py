@@ -130,6 +130,16 @@ class TestExperimentCommands:
             assert "'a'" in err, err  # and the bad token
         assert not list(tmp_path.glob("*summary.json"))
 
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys):
+        # a misspelled key once fell back to the field's default and the run went ahead
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 16, "t": 2, "theta": 0.1, "e_max_target": 2,
+                                   "trails": 500}))
+        code = main(["row-recovery", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: config has unknown fields ['trails']\n"
+        assert not list(tmp_path.glob("*summary.json"))
+
     def test_negative_seed_names_the_field(self, tmp_path, capsys):
         code = main(["mmax-sweep", "--n", "8", "--t", "2", "--theta", "0.1",
                      "--e-max", "1", "--seed", "-1", "--out", str(tmp_path)])

@@ -131,6 +131,15 @@ class TestExperimentConfig:
         assert cfg.tol == 1e-9
         assert cfg.output_path is None
 
+    def test_from_mapping_names_unknown_keys(self):
+        # "trails" and "seed" once fell back to 1 trial at base_seed 0
+        with pytest.raises(ValueError, match=r"^config has unknown fields \['seed', 'trails'\]$"):
+            config_from_mapping({"n": 16, "t": 4, "theta": 0.1, "e_max_target": 2,
+                                 "mode": "RowRecovery", "trails": 500, "seed": 9})
+        with pytest.raises(ValueError, match=r"unknown fields \['dims'\]"):
+            config_from_mapping({"n": 16, "t": 4, "theta": 0.1, "e_max_target": 2,
+                                 "mode": "RowRecovery", "dims": GridDims(n=16, t=4)})
+
     def test_from_mapping_missing_field(self):
         with pytest.raises(ValueError, match="missing required field"):
             config_from_mapping({"n": 8, "t": 2})
@@ -267,26 +276,28 @@ class TestGenerateTestSignal:
         (0, 0x9E3779B97F4A7C15F39CC0605CEDC835, 1),
         (1, 0x9E3779B97F4A7C15F39CC0605CEDC835, 0),
         (0, (1 << 64) + 1, 2),
-    ], ids=["floyd-rejects-twice-using-up-the-prefetch", "shuffle-rejects-once",
-            "floyd-rejects-four-times-past-the-prefetch"])
+    ], ids=["floyd-rejects-twice", "shuffle-rejects-once", "floyd-rejects-four-times"])
     def test_skewed_draws_reject_as_numpy_does(self, first, inc, extra):
         # Lemire's rejection redraws a 32-bit draw whose product's low half falls below
-        # 2**32 % span, so the stack must skip the same halves numpy's scalar calls skip, and
-        # take more words for a stream whose rejections outrun the words it prefetched
+        # 2**32 % span, so a rejecting stream must skip the same halves numpy's scalar calls
+        # skip, alone and between two streams that reject nothing
         dims, e_max = GridDims(n=32, t=8), 3
 
         def draw(rng):
             return skewed_one_column_at_a_time(dims, e_max, rng)
 
-        # a stream without rejections takes `plain` words, and the stack prefetches one more
+        # a stream without rejections takes `plain` words
         plain = self._words_taken(np.random.default_rng(7), draw)
-        assert experiments._SPARE_WORDS == 1
-        want = draw(self._stream_with_zero_words(first, inc))
         assert (self._words_taken(self._stream_with_zero_words(first, inc), draw)
                 == plain + extra)
-        stack = experiments._test_signals(dims, e_max, [self._stream_with_zero_words(first, inc)],
-                                          1, ProfileShape.SkewedRows)
-        assert stack[0].tobytes() == want.tobytes()
+        for make in ([lambda: self._stream_with_zero_words(first, inc)],
+                     [lambda: np.random.default_rng(7),
+                      lambda: self._stream_with_zero_words(first, inc),
+                      lambda: np.random.default_rng(8)]):
+            stack = experiments._test_signals(dims, e_max, [rng() for rng in make], len(make),
+                                              ProfileShape.SkewedRows)
+            for grid, rng in zip(stack, make):
+                assert grid.tobytes() == draw(rng()).tobytes()
 
     @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
     @pytest.mark.parametrize("seed", [None, True, np.bool_(True), 3.0, 2.5, "3", -1],

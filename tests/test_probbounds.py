@@ -309,6 +309,12 @@ class TestSupportBudget:
         with pytest.raises(ValueError):
             support_budget(0.3, 0)
 
+    @pytest.mark.parametrize("theta", [5e-324, 2.7e-309], ids=["least-subnormal", "subnormal"])
+    def test_rejects_theta_whose_reciprocal_overflows(self, theta):
+        # 1/(2*theta) is inf here, which math.ceil once turned into an OverflowError
+        with pytest.raises(ValueError, match="theta=.* is too small"):
+            support_budget(theta, 4)
+
 
 class TestRowCountValidation:
     """``t`` is read like ``n``: an integer, numpy's too, never a bool, and at least 1."""
