@@ -306,8 +306,9 @@ def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
     ints = (halves[:, ints_at] * np.uint64(t) >> np.uint64(32)).astype(int)
     dense_rows, freq = ints[:, 0], ints[:, 1:]
     phase = (words[:, reals_at] >> np.uint64(11)) * 2.0 ** -53
-    rng = np.random.Generator(np.random.PCG64(0))  # each stream Lemire rejects in, from its start
+    # a stream in which Lemire rejects a draw draws again from its start, by numpy's own calls
     for i in np.flatnonzero(((m & _LOW_HALF) < (1 << 32) % spans).any(axis=1)):
+        rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = states[i]
         cols[i], dense_rows[i], freq[i], phase[i] = _numpy_draws(rng, n, t, e)
     return cols, dense_rows, freq, phase
