@@ -234,7 +234,8 @@ class TestGenerateTestSignal:
         # broadcast; each grid must equal numpy's scalar calls and scalar-product columns bit for
         # bit, which an array product amp * rot does not at t >= 8. e_max == n gives Floyd a
         # first draw in [0, 0], which takes no word, and 10001 > 10000 with 201 > 10001 // 50
-        # takes numpy's tail shuffle of arange(n) in place of Floyd's algorithm
+        # takes numpy's tail shuffle of arange(n) in place of Floyd's algorithm, which the stack
+        # draws by numpy's own calls
         dims, seeds = GridDims(n=n, t=t), range(300, 300 + seeds)
         stack = experiments._test_signals(dims, e_max, _streams(seeds), len(seeds),
                                           ProfileShape.SkewedRows)
@@ -290,14 +291,14 @@ class TestGenerateTestSignal:
         plain = self._words_taken(np.random.default_rng(7), draw)
         assert (self._words_taken(self._stream_with_zero_words(first, inc), draw)
                 == plain + extra)
-        for make in ([lambda: self._stream_with_zero_words(first, inc)],
-                     [lambda: np.random.default_rng(7),
-                      lambda: self._stream_with_zero_words(first, inc),
-                      lambda: np.random.default_rng(8)]):
-            stack = experiments._test_signals(dims, e_max, [rng() for rng in make], len(make),
-                                              ProfileShape.SkewedRows)
-            for grid, rng in zip(stack, make):
-                assert grid.tobytes() == draw(rng()).tobytes()
+        for makes in ([lambda: self._stream_with_zero_words(first, inc)],
+                      [lambda: np.random.default_rng(7),
+                       lambda: self._stream_with_zero_words(first, inc),
+                       lambda: np.random.default_rng(8)]):
+            stack = experiments._test_signals(dims, e_max, [make() for make in makes],
+                                              len(makes), ProfileShape.SkewedRows)
+            for grid, make in zip(stack, makes):
+                assert grid.tobytes() == draw(make()).tobytes()
 
     @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
     @pytest.mark.parametrize("seed", [None, True, np.bool_(True), 3.0, 2.5, "3", -1],
