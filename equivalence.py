@@ -35,7 +35,9 @@ imports that side's ``src/``. Both sides get the same inputs:
   stack per group of ``MASK_GROUPS``. One-seed calls open numpy's own
   ``default_rng``, and stacks of any size reach the block seed kernel: across
   ``2**32`` and ``2**64``, where a seed grows a 32-bit word, and across
-  ``2**128``, where a block holding a wider seed goes to ``SeedSequence``;
+  ``2**128``, where a block holding a wider seed goes to ``SeedSequence``. One
+  more group of 2060 seeds across ``2**64`` spans two seed blocks of
+  ``_streams``, 2048 seeds and 12;
 * a fixed set of CLI runs covering every experiment mode, driven by flags, one
   of them a row-recovery sweep that no row's certificate holds in, one a
   SkewedRows two-stage point whose trials fill several chunks and end in a
@@ -93,7 +95,9 @@ REJECT_DRAW = (32, 8, 3)
 REJECT_STATES = ((0, 0x9E3779B97F4A7C15F39CC0605CEDC835),
                  (1, 0x9E3779B97F4A7C15F39CC0605CEDC835), (0, (1 << 64) + 1))
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-MASK_GROUPS = (range(DRAW_SEEDS), *(range(2**w - 8, 2**w + 8) for w in (32, 64, 128)))
+# the last group splits into seed blocks of 2048 and 12 and crosses 2**64
+MASK_GROUPS = (range(DRAW_SEEDS), *(range(2**w - 8, 2**w + 8) for w in (32, 64, 128)),
+               range(2**64 - 1030, 2**64 + 1030))
 MASK_SEEDS = tuple(itertools.chain(*MASK_GROUPS))
 MASK_THETA = 0.3
 CERTIFIED_WIDTHS = (9, 10)  # every certified pair: 6,828 and 11,672 rows

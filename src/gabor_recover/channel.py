@@ -4,8 +4,8 @@ Every position ``(x, y)`` is lost with probability ``theta``, independently of
 all others, driven by numpy's PCG64 generator so identical ``(dims, theta,
 seed)`` triples give identical patterns on every platform. A one-seed call
 opens ``np.random.default_rng(seed)``, that is ``Generator(PCG64(seed))``, and
-``_streams`` gives a stack of seeds, erasures' and test signals' alike, the
-same streams bit for bit, hashing a block of seeds at once as SeedSequence does.
+``_streams`` opens the same streams for a stack of seeds, one Generator each: it
+hashes a block of seeds as SeedSequence does, and numpy's PCG64 seeds from the words.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ class ErasureStats:
 # numpy's SeedSequence: (first, multiplier) of each hash stage, and the mix multipliers
 _POOL_HASH, _STATE_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 _SEED_BLOCK = 2048  # seeds hashed together, so memory is flat in the count
 
 
@@ -140,7 +139,7 @@ def _mix(x, y):
 
 def _seed_words(seeds: list) -> np.ndarray:
     """SeedSequence's ``generate_state(4, uint64)`` for each int seed in ``[0, 2**128)``, as
-    ``(4, len(seeds))`` words: numpy's hash, seeds abreast."""
+    ``(len(seeds), 4)`` words, one C-contiguous row a seed: numpy's hash, seeds abreast."""
     # a seed is the pool's four 32-bit words, low first; a short seed's missing words hash as 0
     pool = np.array([[seed >> 32 * k & 0xFFFFFFFF for seed in seeds] for k in range(4)],
                     dtype=np.uint32)
@@ -151,27 +150,31 @@ def _seed_words(seeds: list) -> np.ndarray:
         mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], consts[4 + 3 * src:8 + 3 * src]))
     # generate_state(4, uint64): the pool cycled twice, each pair of words low first
     out = _hashmix(np.tile(mixer, (2, 1)), _hash_constants(*_STATE_HASH, 9)).astype(np.uint64)
-    return out[0::2] | out[1::2] << 32
+    return (out[0::2] | out[1::2] << 32).T.copy()
+
+
+@dataclass
+class _Words(np.random.bit_generator.ISeedSequence):
+    """One seed's four hashed words, which PCG64 asks for as ``generate_state(4, uint64)``.
+    PCG64 reads the array's buffer and not its strides, so the row must be C-contiguous."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _streams(seeds):
-    """For each int seed >= 0 in order, a Generator in the state ``Generator(PCG64(seed))``
-    starts in: the same Generator each time, reseeded as the next is taken, so a seed's
-    draws come first. Hashes are computed ``_SEED_BLOCK`` seeds at a time, by the block
-    kernel, or by numpy's own SeedSequence in a block holding a seed of ``2**128`` or more,
-    and each seed's 128-bit state only as it is taken."""
-    bitgen = np.random.PCG64(0)
-    rng, seeds, mask = np.random.Generator(bitgen), iter(seeds), (1 << 128) - 1
+    """For each int seed >= 0 in order, a new ``Generator(PCG64(seed))``, each an independent
+    object. Hashes are computed ``_SEED_BLOCK`` seeds at a time, by the block kernel, or by
+    numpy's own SeedSequence in a block holding a seed of ``2**128`` or more, and numpy's
+    PCG64 seeds each stream from its seed's row of words."""
+    seeds = iter(seeds)
     while block := list(itertools.islice(seeds, _SEED_BLOCK)):
-        words = _seed_words(block) if max(block) <= mask else (
-            np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in block]).T)
-        for lo in range(0, len(block), 256):  # 256 seeds' words become Python ints at a time
-            for s_hi, s_lo, i_hi, i_lo in words[:, lo:lo + 256].T.tolist():
-                inc = (i_hi << 65 | i_lo << 1 | 1) & mask  # PCG64's srandom, modulo 2**128
-                state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & mask
-                bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0}
-                yield rng
+        words = _seed_words(block) if max(block) < 1 << 128 else (
+            np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in block]))
+        for row in words:
+            yield np.random.Generator(np.random.PCG64(_Words(row)))
 
 
 def _sample_masks(dims: GridDims, theta: float, rngs, count: int) -> np.ndarray:

@@ -277,9 +277,9 @@ def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
     is rejected. A 32-bit draw takes a word's low half and keeps the high half for the next
     one, and a draw in ``[0, b]`` is Lemire's ``h * (b + 1) >> 32``; ``random()`` takes a
     fresh word ``w`` as ``(w >> 11) * 2**-53``. A stream whose ``h * (b + 1)`` has its low 32
-    bits below ``2**32 % (b + 1)``, so that Lemire draws again, is redrawn from its start by
-    numpy's own calls, as is every stream when ``n > 10000`` and ``e > n // 50``, where
-    ``choice`` shuffles the tail of ``arange(n)`` instead. The tests check both paths
+    bits below ``2**32 % (b + 1)``, so that Lemire draws again, is rewound to its start and
+    redrawn by numpy's own calls, as is every stream when ``n > 10000`` and ``e > n // 50``,
+    where ``choice`` shuffles the tail of ``arange(n)`` instead. The tests check both paths
     against numpy's own calls."""
     if n > 10000 and e > n // 50:
         draws = [_numpy_draws(rng, n, t, e) for _, rng in zip(range(count), rngs)]
@@ -288,9 +288,9 @@ def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
     bounds = [j for j in range(n - e, n) if j] + list(range(e - 1, 0, -1))
     spans = np.array(bounds, dtype=np.uint64) + np.uint64(1)
     ints_at, reals_at = _reads_after(len(bounds), e)
-    states, words = [], np.empty((count, reals_at[-1] + 1), dtype=np.uint64)
+    streams, words = [], np.empty((count, reals_at[-1] + 1), dtype=np.uint64)
     for row, rng in zip(words, rngs):
-        states.append(rng.bit_generator.state)  # to draw again should Lemire reject
+        streams.append(rng)  # to draw again should Lemire reject
         row[:] = rng.bit_generator.random_raw(len(row))
     halves = words.astype("<u8", copy=False).view("<u4")  # each word's low half first
     m = halves[:, :len(bounds)] * spans
@@ -306,10 +306,11 @@ def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
     ints = (halves[:, ints_at] * np.uint64(t) >> np.uint64(32)).astype(int)
     dense_rows, freq = ints[:, 0], ints[:, 1:]
     phase = (words[:, reals_at] >> np.uint64(11)) * 2.0 ** -53
-    # a stream in which Lemire rejects a draw draws again from its start, by numpy's own calls
+    # a stream in which Lemire rejects a draw is rewound to its start, a full period of 2**128
+    # words less those read, and draws again by numpy's own calls
     for i in np.flatnonzero(((m & _LOW_HALF) < (1 << 32) % spans).any(axis=1)):
-        rng = np.random.Generator(np.random.PCG64(0))
-        rng.bit_generator.state = states[i]
+        rng = streams[i]
+        rng.bit_generator.advance((1 << 128) - words.shape[1])
         cols[i], dense_rows[i], freq[i], phase[i] = _numpy_draws(rng, n, t, e)
     return cols, dense_rows, freq, phase
 

@@ -173,5 +173,5 @@ def support_budget(theta: float, t: int) -> tuple[int, int]:
     reach = 1.0 / (2.0 * theta)
     if not math.isfinite(reach):
         raise ValueError(f"theta={theta} is too small: 1/(2*theta) is not finite")
-    per_row = max(_ceil_snapped(reach) - 1, 0)
+    per_row = _ceil_snapped(reach) - 1
     return per_row, t * per_row

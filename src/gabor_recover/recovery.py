@@ -158,34 +158,34 @@ def _rows(a: np.ndarray, i: np.ndarray):
     return a[i[0]:i[-1] + 1] if i.size and i[-1] - i[0] == i.size - 1 else a[i]
 
 
-def _polish(tier: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
+def _polish(mag: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
             rhs: Optional[np.ndarray] = None):
     """Least squares on each row's detected support, kept only when it is L1-optimal.
 
-    A row has support tiers ``tier`` (how many of 1e-2, 1e-4 and 1e-6 of the
-    peak each DR iterate entry exceeds), data ``b`` (zero where unobserved),
+    A row has DR iterate magnitudes ``mag``, data ``b`` (zero where unobserved),
     observed mask ``obs`` and tolerance ``feas``; ``rhs``, when given, is
-    ``_idft(b)``. Its supports ``tier >= 3, 2, 1`` are tried while they grow
-    and fit in the observed count; acceptance needs full column rank,
-    feasibility and a dual vector of modulus at most 1 off the support. A
-    support ``S`` that passes Donoho-Stark against the ``M`` missing entries
-    has one: with ``r = |S||M|/n < 1/2`` the Gram's smallest eigenvalue is at
-    least ``1 - r`` and the least-squares dual at most ``r/(1 - r) < 1`` off
-    ``S``, so only the other rows solve for it. There is no dense fallback: a
-    row whose Gram fails :func:`_normal_solve` is left to DR. Returns one
-    ``(rows, coefficients, residuals)`` per level that accepts rows, of just those rows.
+    ``_idft(b)``. Its supports, the entries above 1e-2, 1e-4 and 1e-6 of its
+    peak ``mag``, are tried while they grow and fit in the observed count;
+    acceptance needs full column rank, feasibility and a dual vector of modulus
+    at most 1 off the support. A support ``S`` that passes Donoho-Stark against
+    the ``M`` missing entries has one: with ``r = |S||M|/n < 1/2`` the Gram's
+    smallest eigenvalue is at least ``1 - r`` and the least-squares dual at most
+    ``r/(1 - r) < 1`` off ``S``, so only the other rows solve for it. There is no
+    dense fallback: a row whose Gram fails :func:`_normal_solve` is left to DR.
+    Returns one ``(rows, coefficients, residuals)`` per level that accepts rows,
+    of just those rows.
     """
-    n = tier.shape[1]
+    n = mag.shape[1]
     spec = np.fft.fft(obs, axis=1)
     # Hermitian to the bit, so every Gram built from it is too
     spec += np.conjugate(spec[:, -np.arange(n) % n])
     spec /= 2 * n
-    took = np.zeros(len(tier), dtype=bool)
+    took = np.zeros(len(mag), dtype=bool)
     fits = []
-    size = np.zeros(len(tier), dtype=int)  # an all-zero row's empty support never grows
-    seen = obs.sum(axis=1)
-    for level in (3, 2, 1):
-        S = tier >= level
+    size = np.zeros(len(mag), dtype=int)  # an all-zero row's empty support never grows
+    seen, peak = obs.sum(axis=1), mag.max(axis=1, keepdims=True)
+    for cut in (1e-2, 1e-4, 1e-6):
+        S = mag > cut * peak
         grown = S.sum(axis=1)
         i = np.nonzero(~took & (grown != size) & (grown <= seen))[0]
         size = grown
@@ -307,11 +307,7 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
             i = cand[lo:lo + chunk]
             # at the first check z is still _idft(b), shrunk here as a step would
             mag = np.abs(_shrink(_rows(z, i), sc[i]) if it == 0 else _rows(x, i))
-            peak = mag.max(axis=1, keepdims=True)
-            tier = np.add(mag > 1e-2 * peak, mag > 1e-4 * peak, dtype=np.uint8)
-            tier += mag > 1e-6 * peak
-            del mag
-            for k, c, r in _polish(tier, _rows(bb, i), _rows(oo, i), feas[i],
+            for k, c, r in _polish(mag, _rows(bb, i), _rows(oo, i), feas[i],
                                    _rows(z, i) if it == 0 else None):
                 sols[orig[i[k]]], resid[orig[i[k]]], done[i[k]] = c, r, True
         # rows the polish did not take settle on the DR iterate once it stalls

@@ -190,7 +190,7 @@ class TestStreams:
         seeds = [0, 7, 2**32 - 1, 2**32 + 1, 2**64 + 5, 2**73 + 12345, 2**33, 5][:count]
         words = _seed_words(seeds)
         for k, seed in enumerate(seeds):
-            assert np.array_equal(words[:, k],
+            assert np.array_equal(words[k],
                                   np.random.SeedSequence(seed).generate_state(4, np.uint64))
         states = [rng.bit_generator.state for rng in _streams(seeds)]
         assert states == [np.random.PCG64(seed).state for seed in seeds]
@@ -218,9 +218,8 @@ class TestStreams:
         assert states == [np.random.PCG64(seed).state for seed in seeds]
 
     def test_a_block_holds_its_hashes_as_arrays(self):
-        # between yields a full block keeps its seeds and their hash words, about 110 bytes
-        # a seed; its 2048 (state, inc) pairs of 128-bit ints listed at once would hold
-        # about 85 bytes a seed more
+        # between yields a full block keeps its seeds and their hash words as arrays, about
+        # 110 bytes a seed; no seed's words are held as Python ints
         next(_streams([0]))  # numpy's one-time generator set-up
         seeds = range(2**64, 2**64 + 2048)
         tracemalloc.start()
@@ -232,6 +231,17 @@ class TestStreams:
         finally:
             tracemalloc.stop()
         assert held < 150 * len(seeds)
+
+    @pytest.mark.parametrize("seeds", [[3, 2**64 + 1, 2**130], [3, 2**64 + 1]],
+                             ids=["seedsequence-block", "kernel-block"])
+    def test_streams_outlive_the_next_one(self, seeds):
+        # every stream is a Generator of its own, so taking the next leaves it as it was
+        rngs = list(_streams(seeds))
+        assert len({id(rng) for rng in rngs}) == len(seeds)
+        for rng, seed in zip(rngs, seeds):
+            want = np.random.default_rng(seed)
+            assert rng.random(5).tolist() == want.random(5).tolist()
+            assert int(rng.integers(8)) == int(want.integers(8))
 
     def test_draws_are_fresh_generators_draws(self):
         # the calls test signals make; the last integers() call leaves half a 64-bit

@@ -8,8 +8,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from gabor_recover import experiments
-from gabor_recover.channel import (_PCG64_MULT, _streams, apply_erasure, erasure_stats,
-                                   sample_erasure)
+from gabor_recover.channel import _streams, apply_erasure, erasure_stats, sample_erasure
 from gabor_recover.experiments import (
     EXACT_REL_TOL,
     TRIAL_CSV_HEADER,
@@ -28,6 +27,8 @@ from gabor_recover.probbounds import prob_mmax_below
 from gabor_recover.recovery import RecoveryStage, RowStatus, recover_rows, recover_two_stage
 from gabor_recover.signal import GridDims, Signal2D, column_support_max, support, support_profile
 from gabor_recover.transforms import gabor_col, gabor_row
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 def skewed_one_column_at_a_time(dims, e_max, rng):
@@ -250,7 +251,7 @@ class TestGenerateTestSignal:
         with equal halves gives 0. The start state is that one stepped back ``first + 1``."""
         mod, state = 1 << 128, 0
         for _ in range(first + 1):
-            state = (state - inc) * pow(_PCG64_MULT, -1, mod) % mod
+            state = (state - inc) * pow(PCG64_MULT, -1, mod) % mod
         rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}

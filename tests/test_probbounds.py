@@ -290,6 +290,7 @@ class TestSupportBudget:
     def test_frozen_examples(self):
         assert support_budget(0.05, 10) == (9, 90)
         assert support_budget(0.5, 4) == (0, 0)
+        assert support_budget(1.0, 4) == (0, 0)
         assert support_budget(0.25, 4) == (1, 4)
 
     def test_exact_reciprocal_not_rounded_up(self):

@@ -661,17 +661,11 @@ class TestDomainSymmetry:
         assert np.abs(sols - np.fft.ifft(spec, axis=1) * math.sqrt(n)).max() <= 1e-9
 
 
-def tiers(x):
-    # the engine's support tiers of iterates whose nonzero entries all exceed
-    # 1e-2 of their row's peak
-    return np.where(x != 0, 3, 0)
-
-
-def polish(tier, b, obs, feas):
+def polish(mag, b, obs, feas):
     # _polish as the mask of the rows it takes and their solutions, zero elsewhere
-    took = np.zeros(len(tier), dtype=bool)
-    sols = np.zeros(tier.shape, dtype=complex)
-    for rows, coeffs, _ in recovery._polish(tier, b, obs, feas):
+    took = np.zeros(len(mag), dtype=bool)
+    sols = np.zeros(mag.shape, dtype=complex)
+    for rows, coeffs, _ in recovery._polish(mag, b, obs, feas):
         took[rows], sols[rows] = True, coeffs
     return took, sols
 
@@ -704,7 +698,7 @@ class TestPolish:
         monkeypatch.setattr(recovery, "_normal_solve", fit_with_exact_zero)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before its sign is ever divided out
-            took, _ = polish(tiers(x)[None], b[None], obs[None], np.array([1e-9]))
+            took, _ = polish(np.abs(x)[None], b[None], obs[None], np.array([1e-9]))
         assert supports == [[2, 5, 9, 13], [2, 5, 9]]
         assert not took[0]
 
@@ -721,7 +715,7 @@ class TestPolish:
             planted[k, list(supp)] = rng.normal(size=5) + 1j * rng.normal(size=5)
             obs[k, list(miss)] = False
         b = np.where(obs, row_spectrum_many(planted), 0.0)
-        took, sols = polish(tiers(planted), b, obs, np.full(3, 1e-9))
+        took, sols = polish(np.abs(planted), b, obs, np.full(3, 1e-9))
         assert took.tolist() == [True, False, True]
         assert np.allclose(sols[took], planted[took], atol=1e-12)
         assert not sols[1].any()
@@ -802,7 +796,7 @@ class TestPolish:
             return real_solve(S, *rest)
 
         monkeypatch.setattr(recovery, "_normal_solve", spy)
-        took, sols = polish(tiers(planted), b, obs, np.full(rows, 1e-9))
+        took, sols = polish(np.abs(planted), b, obs, np.full(rows, 1e-9))
         assert took.all() and np.allclose(sols, planted, atol=1e-12)
         assert sum(solved) == rows
 
@@ -817,7 +811,7 @@ class TestPolish:
         dual, gram = least_squares_dual(n, supp, miss, np.sign(planted[supp]))
         assert np.linalg.eigvalsh(gram).min() > 0.5 and np.abs(dual).max() > 1.04
         b = np.where(obs, row_spectrum(planted), 0.0)
-        took, sols = polish(tiers(planted)[None], b[None], obs[None], np.array([1e-9]))
+        took, sols = polish(np.abs(planted)[None], b[None], obs[None], np.array([1e-9]))
         assert not took[0] and not sols[0].any()
 
     def test_first_check_comes_before_any_step(self):
@@ -851,9 +845,9 @@ class TestPolish:
         values = np.where(masks, 0, row_spectrum_many(sparse))
         real_polish, calls = recovery._polish, []
 
-        def spy(tier, *rest):
-            calls.append(len(tier))
-            return real_polish(tier, *rest)
+        def spy(mag, *rest):
+            calls.append(len(mag))
+            return real_polish(mag, *rest)
 
         monkeypatch.setattr(recovery, "_polish", spy)
         batched = recovery._solve_l1_batch(values, masks)
@@ -876,7 +870,7 @@ class TestPolish:
         obs = np.zeros(n, dtype=bool)
         obs[[1, 3, 5, 7]] = True
         b = np.where(obs, row_spectrum(planted), 0.0)
-        took, sols = polish(tiers(planted)[None], b[None], obs[None], np.array([1e-9]))
+        took, sols = polish(np.abs(planted)[None], b[None], obs[None], np.array([1e-9]))
         assert not took[0]
         assert not sols[0].any()
 
