@@ -306,8 +306,8 @@ def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
     ints = (halves[:, ints_at] * np.uint64(t) >> np.uint64(32)).astype(int)
     dense_rows, freq = ints[:, 0], ints[:, 1:]
     phase = (words[:, reals_at] >> np.uint64(11)) * 2.0 ** -53
-    # a stream in which Lemire rejects a draw goes back to its start, a period of 2**128 words
-    # on less the words read, and draws again by numpy's own calls
+    # a stream in which Lemire rejects a draw is rewound to its start, a full period of 2**128
+    # words less those read, and draws again by numpy's own calls
     for i in np.flatnonzero(((m & _LOW_HALF) < (1 << 32) % spans).any(axis=1)):
         streams[i].bit_generator.advance((1 << 128) - words.shape[1])
         cols[i], dense_rows[i], freq[i], phase[i] = _numpy_draws(streams[i], n, t, e)
