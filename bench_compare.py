@@ -13,6 +13,14 @@ The output holds, per workload and side, every run's end-to-end metrics,
 their medians and quartiles, the failed-op counts and the machine record
 ``run.py`` printed, and per metric the number of pairs in which the head
 read better than the base.
+
+While a run goes, the script reads its process's minor page faults from
+``/proc/<pid>/stat`` (field 10) every ``FAULT_POLL_S`` seconds. Each run
+records ``faults``: the last count read, and ``steady_per_s``, the rate over
+the second half of the run's wall time, past the set-up; it is None where
+``/proc`` is missing. The rate tells a run whose heap hands freed
+chunk-sized arrays back to the kernel (thousands of faults a second) from
+one that reuses their pages (a few).
 """
 
 from __future__ import annotations
@@ -23,9 +31,11 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
+FAULT_POLL_S = 0.25
 
 
 def export(rev: str, into: Path) -> str:
@@ -37,19 +47,49 @@ def export(rev: str, into: Path) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def minor_faults(pid: int):
+    """The minor page faults of live process ``pid`` so far, or None where ``/proc`` cannot tell."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = stat.rsplit(")", 1)[1].split()  # from field 3; the name in field 2 may hold spaces
+    return None if fields[0] == "Z" else int(fields[7])
+
+
+def fault_record(samples: list):
+    """``{"faults", "steady_per_s"}`` from a run's ``(seconds, faults)`` samples, or None."""
+    if len(samples) < 2:
+        return None
+    end, last = samples[-1]
+    start, first = next(s for s in samples if s[0] >= end / 2)
+    rate = (last - first) / (end - start) if end > start else None
+    return {"faults": last, "steady_per_s": rate}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen([sys.executable, "perfbench/run.py", "--workload", workload,
+                                 "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                                cwd=checkout, stdout=out, stderr=err, text=True)
+        began, samples = time.monotonic(), []
+        while proc.poll() is None:
+            faults = minor_faults(proc.pid)
+            if faults is not None:
+                samples.append((time.monotonic() - began, faults))
+            time.sleep(FAULT_POLL_S)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    lines = stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{workload} seed {seed} in {checkout} exited {proc.returncode}:\n"
-                           f"{proc.stdout}{proc.stderr}")
+                           f"{stdout}{stderr}")
     result = json.loads(lines[-1])
     machine = next(json.loads(line[len("machine "):]) for line in lines
                    if line.startswith("machine "))
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"], "machine": machine,
+            "failed": result["failed"], "machine": machine, "faults": fault_record(samples),
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
@@ -88,7 +128,8 @@ def main() -> int:
             for k in range(args.pairs):
                 for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
                     runs[side].append(run_once(dirs[side], wl, args.seed + k, seconds))
-                    print(wl, side, k, runs[side][-1]["metrics"], flush=True)
+                    print(wl, side, k, runs[side][-1]["metrics"], runs[side][-1]["faults"],
+                          flush=True)
             wins = {}
             for name, m in metrics.items():
                 sign = 1.0 if m["better"] == "higher" else -1.0

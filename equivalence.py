@@ -14,7 +14,9 @@ imports that side's ``src/``. Both sides get the same inputs:
   at ``max_iter`` 1, 2, 3, 8 or 16;
 * three more engine batches, each spanning several polish calls: every
   Donoho-Stark certified (support, missing) pair at n = 9 and at n = 10, one
-  seeded draw per pair, and ``WIDE_ROWS`` random rows at n = 256;
+  seeded draw per pair, and ``WIDE_ROWS`` random rows at n = 256 with a fully
+  observed row every ``WIDE_FULL_EVERY`` rows, so that each polish chunk of
+  the first check falls across one and is gathered as copies;
 * ``--grids`` random grids (n = 8..64, t = 2..11, ``max_iter`` from 1 to 1e5,
   column support bound None, 1, 2 or t) through ``recover_rows`` and
   ``recover_two_stage``;
@@ -101,7 +103,8 @@ MASK_GROUPS = (range(DRAW_SEEDS), *(range(2**w - 8, 2**w + 8) for w in (32, 64, 
 MASK_SEEDS = tuple(itertools.chain(*MASK_GROUPS))
 MASK_THETA = 0.3
 CERTIFIED_WIDTHS = (9, 10)  # every certified pair: 6,828 and 11,672 rows
-WIDE_ROWS = 300  # rows at n = 256, about ten polish calls
+WIDE_ROWS = 300  # rows at n = 256: five polish calls of at most 64 rows at the first check
+WIDE_FULL_EVERY = 64  # one fully observed row in the middle of each first-check chunk
 
 # every experiment mode; the two-stage runs reach the column stage, the
 # tail-bounds runs hold rows with and without a valid bound, n up to 1e5,
@@ -221,6 +224,7 @@ def _engine_batches(count: int, out: Path) -> None:
         if n == 256:
             sparse = _planted(rng, n, WIDE_ROWS, 8)
             masks = _random_masks(rng, n, WIDE_ROWS, n // 4)
+            masks[WIDE_FULL_EVERY // 2::WIDE_FULL_EVERY] = False
         else:
             sparse, masks = _certified_rows(rng, n)
         _engine_batch(arrays, k, sparse, masks, DEFAULT_MAX_ITER)

@@ -4,12 +4,14 @@ One subcommand per experiment mode plus ``transform`` for one-shot transform
 application to a JSON signal. Experiment parameters come from an optional
 JSON config file with individual flag overrides on top; the subcommand
 always decides the mode. Exit codes: 0 success, 1 infeasible config or bad
-input data, 2 I/O error.
+input data, 2 I/O error. Under glibc, ``main`` first fixes the heap's mmap
+and trim thresholds (see ``_keep_heap_pages``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -34,6 +36,11 @@ from .transforms import (
 
 # each subcommand is its mode's artifact token with dashes
 _MODE_FOR_COMMAND = {_mode_token(mode.value).replace("_", "-"): mode for mode in ExperimentMode}
+
+# glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, at the values its dynamic rule ends at (see
+# mallopt(3)): allocations below 32 MiB come from the heap, and up to 64 MiB of free heap top stays
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
 
 # each transform kind's (forward, inverse) pair
 _TRANSFORMS = {
@@ -146,7 +153,21 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+def _keep_heap_pages() -> None:
+    """Keep freed arrays in the heap, where the next trial chunk reuses their pages.
+
+    With glibc's defaults a freed chunk-sized array at the heap's top goes back
+    to the kernel, and the next chunk faults it in again page by page. A C
+    library without ``mallopt`` is left as it is.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+        mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_heap_pages()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "transform":

@@ -68,7 +68,7 @@ DEFAULT_CONV_TOL = 1e-12
 DEFAULT_FEAS_TOL = 1e-9
 # candidate row entries polished at once, as max(1, _POLISH_ENTRIES // n) rows of width n,
 # which bounds the polish's memory at every width
-_POLISH_ENTRIES = 1 << 13
+_POLISH_ENTRIES = 1 << 14
 _GRAM_ENTRIES = 1 << 17  # stacked Gram entries solved at once
 
 
@@ -125,7 +125,8 @@ def ds_condition(support_size, missing_size, n: int, t: int = 1):
 # solver engine (signal orientation only; see l1_recover_many for the other)
 # ----------------------------------------------------------------------------
 
-def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
+def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray,
+                  test: Optional[np.ndarray] = None):
     """Solve ``A^H A x = rhs`` per row, ``A`` its observed DFT rows on its support ``S``.
 
     ``spec`` is the Hermitian part of each observed mask's FFT over ``n``, so
@@ -133,11 +134,14 @@ def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
     size factor and solve as stacks of at most ``_GRAM_ENTRIES`` entries, each
     Gram by its own LAPACK call, so a failed one costs its neighbours nothing.
     ``ok`` is False (``x`` zero) where the Gram fails Cholesky (the full-rank
-    test) or solve, which numpy's gufuncs flag per matrix with NaN.
+    test) or solve, which numpy's gufuncs flag per matrix with NaN. Only the
+    rows that ``test`` marks (every row when it is None) are factored: a row
+    left out must have a Gram known to be positive definite.
     """
     x = np.zeros(S.shape, dtype=np.complex128)
     ok = np.ones(len(S), dtype=bool)
     size = S.sum(axis=1)
+    test = np.ones(len(S), dtype=bool) if test is None else test
     with np.errstate(invalid="ignore"):
         for s in np.flatnonzero(np.bincount(size)):
             group = np.nonzero(size == s)[0]
@@ -145,17 +149,26 @@ def _normal_solve(S: np.ndarray, rhs: np.ndarray, spec: np.ndarray):
             for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
                 sup = np.nonzero(S[rows])[1].reshape(rows.size, s)
                 G = spec[rows[:, None, None], (sup[:, None, :] - sup[:, :, None]) % S.shape[1]]
-                factor = _umath_linalg.cholesky_lo(G, signature="D->D")
                 sol = _umath_linalg.solve1(G, rhs[rows[:, None], sup], signature="DD->D")
-                good = ~(np.isnan(factor).any(axis=(1, 2)) | np.isnan(sol).any(axis=1))
+                good = ~np.isnan(sol).any(axis=1)
+                t = test[rows]
+                if t.any():
+                    factor = _umath_linalg.cholesky_lo(G[t], signature="D->D")
+                    good[t] &= ~np.isnan(factor).any(axis=(1, 2))
                 x[rows[good, None], sup[good]] = sol[good]
                 ok[rows] = good
     return x, ok
 
 
+def _run(a: np.ndarray, i: np.ndarray):
+    """``a[i]`` as a view for increasing row indices ``i`` that are one run, else None."""
+    return a[i[0]:i[-1] + 1] if i.size and i[-1] - i[0] == i.size - 1 else None
+
+
 def _rows(a: np.ndarray, i: np.ndarray):
     """``a[i]`` for increasing row indices ``i``; a view, not a copy, when they are one run."""
-    return a[i[0]:i[-1] + 1] if i.size and i[-1] - i[0] == i.size - 1 else a[i]
+    run = _run(a, i)
+    return a[i] if run is None else run
 
 
 def _polish(mag: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
@@ -164,13 +177,15 @@ def _polish(mag: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
 
     A row has DR iterate magnitudes ``mag``, data ``b`` (zero where unobserved),
     observed mask ``obs`` and tolerance ``feas``; ``rhs``, when given, is
-    ``_idft(b)``. Its supports, the entries above 1e-2, 1e-4 and 1e-6 of its
+    ``_idft(b)``, and when not, the polish makes it and drops it once its fits
+    are solved. Its supports, the entries above 1e-2, 1e-4 and 1e-6 of its
     peak ``mag``, are tried while they grow and fit in the observed count;
     acceptance needs full column rank, feasibility and a dual vector of modulus
     at most 1 off the support. A support ``S`` that passes Donoho-Stark against
     the ``M`` missing entries has one: with ``r = |S||M|/n < 1/2`` the Gram's
     smallest eigenvalue is at least ``1 - r`` and the least-squares dual at most
-    ``r/(1 - r) < 1`` off ``S``, so only the other rows solve for it. There is no
+    ``r/(1 - r) < 1`` off ``S``, so only the other rows factor their Gram and
+    solve for it, and the dual solve factors nothing again. There is no
     dense fallback: a row whose Gram fails :func:`_normal_solve` is left to DR.
     Returns one ``(rows, coefficients, residuals)`` per level that accepts rows,
     of just those rows.
@@ -192,10 +207,12 @@ def _polish(mag: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
         if i.size == 0:
             continue
         S, bi, oi, si = (_rows(a, i) for a in (S, b, obs, spec))
+        missed = n - seen[i]
+        certified = ds_condition(grown[i], missed, n)
         # no dense fallback: a Gram failing Cholesky has sigma_min(A) <~ 1e-8, so a dual needs
         # ||lam|| = ||E^H lam|| >= |<v_min, signs>|/sigma_min, past the checks' sqrt(n)(1 + 1e-7)
         ri = _idft(bi) if rhs is None else _rows(rhs, i)
-        coeffs, fitted = _normal_solve(S, ri, si)
+        coeffs, fitted = _normal_solve(S, ri, si, ~certified)
         # drop numerically dead entries once, so the sign vector is meaningful
         mags = np.abs(coeffs)
         alive = mags > 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1e-300)
@@ -203,16 +220,20 @@ def _polish(mag: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
         refit = fitted & (alive.sum(axis=1) < grown[i])
         if refit.any():
             S[refit] = alive[refit]
-            coeffs[refit], fitted[refit] = _normal_solve(S[refit], ri[refit], si[refit])
+            certified[refit] = ds_condition(S[refit].sum(axis=1), missed[refit], n)
+            coeffs[refit], fitted[refit] = _normal_solve(S[refit], ri[refit], si[refit],
+                                                         ~certified[refit])
+        del ri
         res = _observed_residual(coeffs, bi, oi)
         # an exact-0 coefficient on the support has no sign, so no dual certificate
         ok = fitted & (res <= feas[i]) & ~(S & (coeffs == 0)).any(axis=1)
-        j = np.nonzero(ok & ~ds_condition(S.sum(axis=1), n - seen[i], n))[0]
+        j = np.nonzero(ok & ~certified)[0]
         if j.size:
             S, signs = S[j], coeffs[j]  # zero off S, where the signs are zero too
             np.divide(signs, np.abs(signs), out=signs, where=S)
-            # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs
-            w, gram_ok = _normal_solve(S, signs, si[j])
+            # dual E^H lam (E: observed DFT rows), lam = A (A^H A)^{-1} signs; each Gram
+            # passed Cholesky in the fit, so none is factored again
+            w, gram_ok = _normal_solve(S, signs, si[j], np.zeros(j.size, dtype=bool))
             dual = _idft(oi[j] * _dft(w))
             ok[j] = (gram_ok & (np.where(S, np.abs(dual - signs), 0.0).max(axis=1) <= 1e-8)
                      & (np.where(S, 0.0, np.abs(dual)).max(axis=1) <= 1.0 + 1e-7))
@@ -284,31 +305,32 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
         raise ValueError("observed values must be finite")
 
     # fully observed rows invert directly, and all-zero data has the zero vector as
-    # its unique minimizer
-    z0 = _idft(b)
-    scale = np.abs(z0).max(axis=1)
+    # its unique minimizer. The inverse z0 is held in sols: a row's entries there are
+    # read until the row is done, and written only then
+    sols = _idft(b)
+    scale = np.abs(sols).max(axis=1)
     full = obs.all(axis=1)
     conv = full | (scale == 0.0)
-    sols = np.zeros((B, n), dtype=np.complex128)
-    sols[full] = z0[full]
+    sols[conv & ~full] = 0.0  # +0 whatever signs of zero the data had
     resid = np.zeros(B, dtype=float)
     if full.any():
-        resid[full] = _observed_residual(z0[full], b[full], obs[full])
+        resid[full] = _observed_residual(sols[full], b[full], obs[full])
     iters = np.zeros(B, dtype=int)
 
     # the first check polishes the entry arrays, every unsolved row a candidate, and only
     # the rows it leaves are gathered for DR; nothing has moved yet, so nothing settles there
-    orig, z, bb, oo, sc, done = np.arange(B), z0, b, obs, scale, conv.copy()
+    orig, z, bb, oo, sc, done = np.arange(B), sols, b, obs, scale, conv.copy()
     feas = tol * np.maximum(1.0, np.abs(b).max(axis=1))
     it, check_every, chunk, delta = 0, 8, max(1, _POLISH_ENTRIES // n), np.inf
     while orig.size:
         cand = np.nonzero(~done & ((delta < 0.3 * sc) | (it == 0) | (it >= max_iter)))[0]
         for lo in range(0, cand.size, chunk):
             i = cand[lo:lo + chunk]
-            # at the first check z is still _idft(b), shrunk here as a step would
+            # at the first check z is still _idft(b), shrunk here as a step would, and the
+            # polish reads it in place where i is one run, or makes its own
             mag = np.abs(_shrink(_rows(z, i), sc[i]) if it == 0 else _rows(x, i))
             for k, c, r in _polish(mag, _rows(bb, i), _rows(oo, i), feas[i],
-                                   _rows(z, i) if it == 0 else None):
+                                   _run(z, i) if it == 0 else None):
                 sols[orig[i[k]]], resid[orig[i[k]]], done[i[k]] = c, r, True
         # rows the polish did not take settle on the DR iterate once it stalls
         settled = ~done & (delta <= DEFAULT_CONV_TOL * sc)

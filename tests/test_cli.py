@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gabor_recover import cli
 from gabor_recover.cli import build_parser, main
 from gabor_recover.signal import GridDims, Signal2D, signal_from_json, signal_to_json
 
@@ -159,6 +161,25 @@ class TestExperimentCommands:
         assert code == 1
         assert "must hold a JSON object" in capsys.readouterr().err
         assert not list(tmp_path.glob("*summary.json"))
+
+
+class TestHeapSetting:
+    TAILS = ["tail-bounds", "--n", "16", "--t", "4", "--theta", "0.1", "--e-max", "2"]
+
+    def test_main_keeps_freed_pages_in_the_heap(self, tmp_path, monkeypatch):
+        # glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1)
+        calls = []
+        libs = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(cli, "ctypes", types.SimpleNamespace(CDLL=lambda name: libs))
+        assert main(self.TAILS + ["--out", str(tmp_path)]) == 0
+        assert sorted(calls) == [(-3, cli._MMAP_THRESHOLD), (-1, cli._TRIM_THRESHOLD)]
+        assert (cli._MMAP_THRESHOLD, cli._TRIM_THRESHOLD) == (32 << 20, 64 << 20)
+
+    def test_c_library_without_mallopt_still_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ctypes",
+                            types.SimpleNamespace(CDLL=lambda name: types.SimpleNamespace()))
+        assert main(self.TAILS + ["--out", str(tmp_path)]) == 0
+        assert (tmp_path / "tail_bounds_n16_summary.json").exists()
 
 
 class TestTransformCommand:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -799,6 +800,39 @@ class TestPolish:
         took, sols = polish(np.abs(planted), b, obs, np.full(rows, 1e-9))
         assert took.all() and np.allclose(sols, planted, atol=1e-12)
         assert sum(solved) == rows
+
+    def test_cholesky_factors_only_grams_donoho_stark_leaves_open(self, monkeypatch):
+        # a Donoho-Stark support's Gram is positive definite, and a fitted Gram passed
+        # Cholesky once already, so neither the fit of the former nor any dual factors one
+        n, rows = 16, 12
+        rng = np.random.default_rng(3)
+        planted = np.zeros((rows, n), dtype=complex)
+        obs = np.ones((rows, n), dtype=bool)
+        for k in range(rows):
+            e, m = (1, 7) if k % 3 == 0 else (3, 3)
+            planted[k, rng.choice(n, size=e, replace=False)] = (rng.normal(size=e)
+                                                                + 1j * rng.normal(size=e))
+            obs[k, rng.choice(n, size=m, replace=False)] = False
+        certified = ds_condition((planted != 0).sum(axis=1), (~obs).sum(axis=1), n)
+        assert certified.sum() == 4
+        b = np.where(obs, row_spectrum_many(planted), 0.0)
+        real, factored = recovery._umath_linalg, []
+
+        def cholesky_lo(G, **kwargs):
+            factored.extend(G)
+            return real.cholesky_lo(G, **kwargs)
+
+        monkeypatch.setattr(recovery, "_umath_linalg",
+                            types.SimpleNamespace(cholesky_lo=cholesky_lo, solve1=real.solve1))
+        took, sols = polish(np.abs(planted), b, obs, np.full(rows, 1e-9))
+        assert took.all() and np.allclose(sols, planted, atol=1e-12)
+        grams = []
+        for k in range(rows):
+            A = dft_submatrix(n, np.flatnonzero(planted[k]), set(np.flatnonzero(~obs[k])))
+            grams.append(A.conj().T @ A)
+        owners = [[k for k in range(rows) if G.shape == grams[k].shape
+                   and np.allclose(G, grams[k], atol=1e-12)] for G in factored]
+        assert sorted(k for ks in owners for k in ks) == np.flatnonzero(~certified).tolist()
 
     def test_support_past_donoho_stark_still_needs_its_dual(self):
         # |S||M| = 9 < 12 <= 2|S||M|: the support has full rank and fits the data, but
