@@ -53,8 +53,8 @@ __all__ = [
 # is below this; separate from the runtime feasibility tolerance
 EXACT_REL_TOL = 1e-6
 
-# a chunk of trials holds 16384 complex grid entries (256 KiB), or 4 times as many entries of
-# 1-byte sweep masks (64 KiB)
+# a chunk of trials holds 16384 complex grid entries (256 KiB), which the engine polishes in
+# one call (recovery._POLISH_ENTRIES), or 4 times as many entries of 1-byte sweep masks (64 KiB)
 _CHUNK_ENTRIES = 16384
 
 WILSON_Z_95 = 1.959963984540054

@@ -67,7 +67,8 @@ DEFAULT_MAX_ITER = 100_000
 DEFAULT_CONV_TOL = 1e-12
 DEFAULT_FEAS_TOL = 1e-9
 # candidate row entries polished at once, as max(1, _POLISH_ENTRIES // n) rows of width n,
-# which bounds the polish's memory at every width
+# which bounds the polish's memory at every width; a trial chunk's 16384 entries
+# (experiments._CHUNK_ENTRIES) take one call
 _POLISH_ENTRIES = 1 << 14
 _GRAM_ENTRIES = 1 << 17  # stacked Gram entries solved at once
 
@@ -167,8 +168,7 @@ def _run(a: np.ndarray, i: np.ndarray):
 
 def _rows(a: np.ndarray, i: np.ndarray):
     """``a[i]`` for increasing row indices ``i``; a view, not a copy, when they are one run."""
-    run = _run(a, i)
-    return a[i] if run is None else run
+    return a[i] if (run := _run(a, i)) is None else run
 
 
 def _polish(mag: np.ndarray, b: np.ndarray, obs: np.ndarray, feas: np.ndarray,
@@ -284,9 +284,12 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
     every budget: every row is polished on ``z0`` soft-thresholded as a step
     would, and the rows it takes report 0 iterations. It reads the entry
     arrays a polish chunk at a time, and only the rows it leaves are gathered
-    to run 8-step blocks from the untouched ``z0``, with a check after each. A
-    check polishes its candidate rows ``_POLISH_ENTRIES // n`` at a time (at
-    least one), and no row's result depends on the batch it is polished in.
+    to run 8-step blocks from their untouched ``z0``, with a check after each.
+    ``z0`` lives in the returned signals until each row is done, and a chunk
+    whose candidates are not one run is gathered without it, its polish
+    inverting the gathered data itself. A check polishes its candidate rows
+    ``_POLISH_ENTRIES // n`` at a time (at least one), and no row's result
+    depends on the batch it is polished in.
     """
     missing = np.asarray(missing_mask, dtype=bool)
     vals = np.asarray(values, dtype=np.complex128)
