@@ -158,12 +158,15 @@ def _keep_heap_pages() -> None:
 
     With glibc's defaults a freed chunk-sized array at the heap's top goes back
     to the kernel, and the next chunk faults it in again page by page. A C
-    library without ``mallopt`` is left as it is.
+    library without ``mallopt``, or a platform whose process has none to
+    open, is left as it is.
     """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
-        mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
 def main(argv=None) -> int:

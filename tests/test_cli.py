@@ -163,6 +163,10 @@ class TestExperimentCommands:
         assert not list(tmp_path.glob("*summary.json"))
 
 
+def no_c_library(name):
+    raise OSError("no C library to open")
+
+
 class TestHeapSetting:
     TAILS = ["tail-bounds", "--n", "16", "--t", "4", "--theta", "0.1", "--e-max", "2"]
 
@@ -175,9 +179,10 @@ class TestHeapSetting:
         assert sorted(calls) == [(-3, cli._MMAP_THRESHOLD), (-1, cli._TRIM_THRESHOLD)]
         assert (cli._MMAP_THRESHOLD, cli._TRIM_THRESHOLD) == (32 << 20, 64 << 20)
 
-    def test_c_library_without_mallopt_still_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "ctypes",
-                            types.SimpleNamespace(CDLL=lambda name: types.SimpleNamespace()))
+    @pytest.mark.parametrize("open_library", [lambda name: types.SimpleNamespace(), no_c_library],
+                             ids=["no-mallopt", "no-library"])
+    def test_c_library_without_mallopt_still_runs(self, tmp_path, monkeypatch, open_library):
+        monkeypatch.setattr(cli, "ctypes", types.SimpleNamespace(CDLL=open_library))
         assert main(self.TAILS + ["--out", str(tmp_path)]) == 0
         assert (tmp_path / "tail_bounds_n16_summary.json").exists()
 

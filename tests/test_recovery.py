@@ -403,6 +403,18 @@ class TestL1Recover1d:
 
 
 class TestL1RecoverMany:
+    def test_zero_data_returns_positive_zeros(self):
+        # the inverse of negative zeros holds a -0.0, and a zero row's minimizer is +0
+        n = 8
+        values = np.full((3, n), -0.0 - 0.0j)
+        masks = np.zeros((3, n), dtype=bool)
+        masks[1, [2, 5]] = True
+        masks[2] = True
+        assert np.signbit(np.fft.ifft(np.where(masks[1], 0, values[1])).real).any()
+        sols, conv, resid = l1_recover_many(values, masks)
+        assert conv.all() and not resid.any()
+        assert sols[1:].tobytes() == np.zeros((2, n), dtype=complex).tobytes()
+
     @BOTH_DOMAINS
     def test_matches_scalar_op(self, rng, domain):
         n, batch = 8, 12
