@@ -308,8 +308,9 @@ def _solve_l1_batch(values: np.ndarray, missing_mask: np.ndarray, *,
         raise ValueError("observed values must be finite")
 
     # fully observed rows invert directly, and all-zero data has the zero vector as
-    # its unique minimizer. The inverse z0 is held in sols: a row's entries there are
-    # read until the row is done, and written only then
+    # its unique minimizer. sols holds the inverse z0, and the DR iterate where DR runs on
+    # a view of it; a row's entries there become its result when it is done, after which
+    # no iterate reads them
     sols = _idft(b)
     scale = np.abs(sols).max(axis=1)
     full = obs.all(axis=1)
