@@ -173,8 +173,8 @@ class TestHeapSetting:
     def test_main_keeps_freed_pages_in_the_heap(self, tmp_path, monkeypatch):
         # glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1)
         calls = []
-        libs = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
-        monkeypatch.setattr(cli, "ctypes", types.SimpleNamespace(CDLL=lambda name: libs))
+        lib = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(cli, "ctypes", types.SimpleNamespace(CDLL=lambda name: lib))
         assert main(self.TAILS + ["--out", str(tmp_path)]) == 0
         assert sorted(calls) == [(-3, cli._MMAP_THRESHOLD), (-1, cli._TRIM_THRESHOLD)]
         assert (cli._MMAP_THRESHOLD, cli._TRIM_THRESHOLD) == (32 << 20, 64 << 20)
