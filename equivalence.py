@@ -24,14 +24,10 @@ imports that side's ``src/``. Both sides get the same inputs:
   ``(n, t, e_max)`` and ``DRAW_SEEDS`` seeds each, and the same seeds drawn
   again as one ``experiments._test_signals`` stack per shape, as a trial chunk
   draws them. A one-seed draw opens numpy's own ``default_rng``, and both
-  read a SkewedRows seed's draws from its raw PCG64 words by array rules
-  when nothing rejects. Two small groups of their own draw SkewedRows signals
-  one stream at a time and stacked, and take numpy's own calls at the head:
-  ``TAIL_DRAW_SEEDS`` seeds at ``TAIL_DRAW``, where numpy's ``choice``
-  shuffles the tail of ``arange(n)`` in place of Floyd's algorithm, and at
-  ``REJECT_DRAW`` the forced PCG64 states of ``REJECT_STATES``, whose zero
-  words make Lemire's bounded draw reject in Floyd's draws or in the
-  shuffle, stacked between seeded streams that reject nothing;
+  read a SkewedRows seed's draws from its raw PCG64 words. One more group
+  draws SkewedRows signals at the wide shape ``TAIL_DRAW``, ``TAIL_DRAW_SEEDS``
+  seeds one stream at a time and stacked. Only the groups both sides hold are
+  compared, and a group that one side lacks is named;
 * ``sample_erasure`` masks at the same ``(n, t)`` and ``MASK_SEEDS``, one
   seed at a time, and the same seeds drawn again as one ``_sample_masks``
   stack per group of ``MASK_GROUPS``. One-seed calls open numpy's own
@@ -88,15 +84,8 @@ GRID_BUDGETS = (1, 2, 3, 8, 16, 100, 1000, 100_000)
 # and e_max >= log2(t), so each shape suits both profile shapes
 DRAW_SHAPES = ((4, 4, 2), (8, 8, 3), (16, 8, 7), (12, 4, 12), (32, 16, 4), (64, 32, 9))
 DRAW_SEEDS = 200
-# n > 10000 and e_max > n // 50: SkewedRows only, as UniformRows grids this wide are dense
+# a wide shape, drawn as SkewedRows only: 201 of 10001 columns over 4 rows
 TAIL_DRAW, TAIL_DRAW_SEEDS = (10001, 4, 201), 3
-# (first, inc): a stream whose raw word `first` is 0, and the word after it too when inc is
-# 2**64 + 1. At REJECT_DRAW a 0 half is rejected by the draws in [0, 29], [0, 30] and [0, 2],
-# so Lemire rejects twice in Floyd's draws, once in the shuffle and four times in Floyd's draws
-REJECT_DRAW = (32, 8, 3)
-REJECT_STATES = ((0, 0x9E3779B97F4A7C15F39CC0605CEDC835),
-                 (1, 0x9E3779B97F4A7C15F39CC0605CEDC835), (0, (1 << 64) + 1))
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 # the last group splits into seed blocks of 2048 and 12 and crosses 2**64
 MASK_GROUPS = (range(DRAW_SEEDS), *(range(2**w - 8, 2**w + 8) for w in (32, 64, 128)),
                range(2**64 - 1030, 2**64 + 1030))
@@ -259,19 +248,6 @@ def _grids(count: int, out: Path) -> None:
     (out / "grids.json").write_text(json.dumps(records))
 
 
-def _zero_word_stream(first: int, inc: int):
-    """A Generator whose raw word ``first`` is 0, and the word after it too when ``inc`` is
-    ``2**64 + 1``: PCG64 outputs the xor of its new state's halves, rotated, so a state
-    with equal halves gives 0. The start state is that one stepped back ``first + 1``."""
-    mod, state = 1 << 128, 0
-    for _ in range(first + 1):
-        state = (state - inc) * pow(PCG64_MULT, -1, mod) % mod
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
-
-
 def _draws(out: Path) -> None:
     from gabor_recover.channel import _streams
     from gabor_recover.experiments import ProfileShape, _test_signals, generate_test_signal
@@ -289,15 +265,6 @@ def _draws(out: Path) -> None:
     dims, key = GridDims(n=n, t=t), f"{shape.value}_{n}_{t}_{e_max}"
     draws[key] = np.array([generate_test_signal(dims, e_max, seed, shape).values for seed in seeds])
     draws[f"stacked_{key}"] = _test_signals(dims, e_max, _streams(seeds), len(seeds), shape)
-    n, t, e_max = REJECT_DRAW
-    dims, key = GridDims(n=n, t=t), f"rejecting_{shape.value}_{n}_{t}_{e_max}"
-    makes = [lambda: np.random.default_rng(0)]  # each forced stream between two seeded ones
-    for seed, state in enumerate(REJECT_STATES, 1):
-        makes += [lambda state=state: _zero_word_stream(*state),
-                  lambda seed=seed: np.random.default_rng(seed)]
-    draws[key] = np.array([_test_signals(dims, e_max, [make()], 1, shape)[0] for make in makes])
-    draws[f"stacked_{key}"] = _test_signals(dims, e_max, [make() for make in makes], len(makes),
-                                            shape)
     np.savez(out / "draws.npz", **draws)
 
 
@@ -430,19 +397,22 @@ def compare_grids(base: Path, head: Path, tally: Tally) -> str:
 def compare_draws(base: Path, head: Path, tally: Tally) -> str:
     with np.load(base / "draws.npz") as b, np.load(head / "draws.npz") as h:
         identical = total = 0
-        for key in b.files:
+        for key in sorted(set(b.files) ^ set(h.files)):
+            tally.changed.append(f"draw group {key}: only on the "
+                                 f"{'base' if key in b.files else 'head'} side")
+        for key in sorted(set(b.files) & set(h.files)):
             bk, hk = b[key], h[key]
             tally.float_drift("values", bk, hk)
             identical += sum(x.tobytes() == y.tobytes() for x, y in zip(bk, hk))
             total += len(bk)
             # a draw's support is a decision; its entries are of modulus about 1
-            moved = np.flatnonzero(((np.abs(bk) > 1e-9) != (np.abs(hk) > 1e-9)).any(axis=(1, 2)))
-            tally.changed += [f"draw {key} seed {seed}: support" for seed in moved]
+            moved = ((np.abs(bk) > 1e-9) != (np.abs(hk) > 1e-9)).any(axis=(1, 2)).sum()
+            if moved:
+                tally.changed.append(f"draw {key}: support of {moved}/{len(bk)} seeds")
     return (f"draws: {identical}/{total} bit-identical "
-            f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes, "
-            f"SkewedRows at {TAIL_DRAW} x {TAIL_DRAW_SEEDS} seeds and at {REJECT_DRAW} x "
-            f"{len(REJECT_STATES)} rejecting streams between {len(REJECT_STATES) + 1} seeded "
-            f"ones, one stream at a time and stacked)")
+            f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes and "
+            f"SkewedRows at {TAIL_DRAW} x {TAIL_DRAW_SEEDS} seeds, one stream at a time and "
+            f"stacked, in the groups both sides hold)")
 
 
 def compare_masks(base: Path, head: Path, tally: Tally) -> str:

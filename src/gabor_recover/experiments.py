@@ -31,7 +31,7 @@ from .probbounds import (
     prob_mmax_below,
     prob_mmin_below,
 )
-from .recovery import DEFAULT_FEAS_TOL, _recover_many, ds_condition
+from .recovery import _POLISH_ENTRIES, DEFAULT_FEAS_TOL, _recover_many, ds_condition
 from .signal import GridDims, Signal2D, _active, _int_at_least, _strict_float, _strict_int
 from .transforms import _dft
 
@@ -53,9 +53,9 @@ __all__ = [
 # is below this; separate from the runtime feasibility tolerance
 EXACT_REL_TOL = 1e-6
 
-# a chunk of trials holds 16384 complex grid entries (256 KiB), which the engine polishes in
-# one call (recovery._POLISH_ENTRIES), or 4 times as many entries of 1-byte sweep masks (64 KiB)
-_CHUNK_ENTRIES = 16384
+# a chunk of trials holds as many complex grid entries as the engine polishes in one call
+# (16384, 256 KiB), or 4 times as many entries of 1-byte sweep masks (64 KiB)
+_CHUNK_ENTRIES = _POLISH_ENTRIES
 
 WILSON_Z_95 = 1.959963984540054
 WILSON_Z_99 = 2.5758293035489004
@@ -194,10 +194,9 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
                   profile_shape: ProfileShape) -> np.ndarray:
     """The signals the next ``count`` streams of ``rngs`` draw, stacked ``(count, t, n)``.
 
-    A SkewedRows stack reads a stream's draws from its raw PCG64 words by the installed
-    numpy's Generator rules when Lemire's bounded draws reject nothing, and by numpy's own
-    calls when they do or ``choice`` shuffles the tail of ``arange(n)``
-    (:func:`_skewed_draws`); the tests check both against numpy's own calls."""
+    A UniformRows grid reads its stream through ``random()``; a SkewedRows grid reads its
+    stream's raw PCG64 words by the package's own rule (:func:`_skewed_draws`), with no
+    Generator method involved."""
     n, t = dims.n, dims.t
     if not (1 <= e_max_target <= n):
         raise ValueError(f"e_max_target must lie in [1, n={n}], got {e_max_target}")
@@ -217,7 +216,9 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
     cols, dense_rows, freq, phase = _skewed_draws(rngs, count, n, t, e_max_target)
     amp = np.exp(2j * np.pi * phase)
     rot = np.exp(-2j * np.pi * dense_rows[:, None] / (1 << levels))
-    # amp * rot as numpy's scalar product rounds it; the array product may fuse a multiply-add
+    # amp * rot rounded as a scalar product: the array product may fuse a multiply-add in some
+    # lanes and not others, and a grid must not depend on where it sits in the stack (the
+    # tests build each column with scalar products)
     pair = np.empty_like(amp)
     pair.real = amp.real * rot.real - amp.imag * rot.imag
     pair.imag = amp.real * rot.imag + amp.imag * rot.real
@@ -228,90 +229,23 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
     return vals
 
 
-_LOW_HALF = np.uint64(0xFFFFFFFF)
-
-
-def _reads_after(half: int, e: int):
-    """Where ``integers(t)`` and then ``e`` pairs of ``integers(t)``, ``random()`` read a stream
-    whose first ``half`` 32-bit draws are taken: the halves the integers read, and the words
-    the randoms read."""
-    halves, words = [half], []
-    word, spare = half // 2 + 1, half + 1 if half % 2 == 0 else None
-    for _ in range(e):
-        if spare is None:  # a 32-bit draw takes a word's low half and keeps its high half
-            halves.append(2 * word)
-            spare, word = 2 * word + 1, word + 1
-        else:
-            halves.append(spare)
-            spare = None
-        words.append(word)  # random() takes a fresh word and leaves the kept half alone
-        word += 1
-    return halves, words
-
-
-def _swap_down(idx: np.ndarray, draws: np.ndarray) -> None:
-    """numpy's shuffle of each row of ``idx`` from its last column down to its second: column
-    ``i`` swaps with the column its draw names, the draws' columns taken in that order."""
-    rows = np.arange(len(idx))
-    for i, j in zip(range(idx.shape[1] - 1, 0, -1), draws.T):
-        held = idx[rows, j]
-        idx[rows, j] = idx[:, i]
-        idx[:, i] = held
-
-
-def _numpy_draws(rng, n: int, t: int, e: int):
-    """One stream's SkewedRows draws by numpy's own calls, as :func:`_skewed_draws` gives them."""
-    cols, dense_row = rng.choice(n, e, replace=False), rng.integers(t)
-    freq, phase = zip(*((rng.integers(t), rng.random()) for _ in range(e)))
-    return cols, dense_row, freq, phase
-
-
 def _skewed_draws(rngs, count: int, n: int, t: int, e: int):
     """What the next ``count`` streams of ``rngs``, each at its start, draw for a SkewedRows
-    signal: ``choice(n, e, replace=False)``, ``integers(t)``, then ``e`` pairs of
-    ``integers(t)`` and ``random()``, as the arrays ``(cols, dense_rows, freq, phase)``.
+    signal, as the arrays ``(cols, dense_rows, freq, phase)``: an ordered ``e``-subset of the
+    ``n`` columns, one row and ``e`` frequencies in ``[0, t)``, and ``e`` phases in ``[0, 1)``.
 
-    Nearly every stream draws in one layout, which the installed numpy's Generator rules fix
-    and which is read from its raw PCG64 words as arrays: ``choice`` is Floyd's algorithm
-    and a shuffle of its picks, their draws take the stream's first 32-bit halves, and none
-    is rejected. A 32-bit draw takes a word's low half and keeps the high half for the next
-    one, and a draw in ``[0, b]`` is Lemire's ``h * (b + 1) >> 32``; ``random()`` takes a
-    fresh word ``w`` as ``(w >> 11) * 2**-53``. A stream whose ``h * (b + 1)`` has its low 32
-    bits below ``2**32 % (b + 1)``, so that Lemire draws again, is rewound to its start and
-    redrawn by numpy's own calls, as is every stream when ``n > 10000`` and ``e > n // 50``,
-    where ``choice`` shuffles the tail of ``arange(n)`` instead. The tests check both paths
-    against numpy's own calls."""
-    if n > 10000 and e > n // 50:
-        draws = [_numpy_draws(rng, n, t, e) for _, rng in zip(range(count), rngs)]
-        return tuple(np.array(column) for column in zip(*draws))
-    # Floyd's draws, none for a bound of 0, then the shuffle's
-    bounds = [j for j in range(n - e, n) if j] + list(range(e - 1, 0, -1))
-    spans = np.array(bounds, dtype=np.uint64) + np.uint64(1)
-    ints_at, reals_at = _reads_after(len(bounds), e)
-    streams, words = [], np.empty((count, reals_at[-1] + 1), dtype=np.uint64)
+    A stream's draws are its first ``n + 1 + 2e`` raw PCG64 words ``w``, read once. The
+    columns are ``argsort(w[:n])[:e]``, a uniform ordered subset (a tie among 64-bit words
+    has probability below ``n**2 / 2**65``). The dense row is ``w[n]`` and the frequencies
+    ``w[n + 1 : n + 1 + e]``, each shifted down to its top ``log2(t)`` bits, exactly uniform
+    as ``t`` is a power of two. The phases are ``(w >> 11) * 2**-53`` of the last ``e``
+    words, the rule numpy's ``random()`` applies to a word."""
+    words = np.empty((count, n + 1 + 2 * e), dtype=np.uint64)
     for row, rng in zip(words, rngs):
-        streams.append(rng)  # to draw again should Lemire reject
         row[:] = rng.bit_generator.random_raw(len(row))
-    halves = words.astype("<u8", copy=False).view("<u4")  # each word's low half first
-    m = halves[:, :len(bounds)] * spans
-    floyd = len(bounds) - (e - 1)
-    picks = np.concatenate((np.zeros((count, e - floyd), dtype=np.intp),
-                            (m >> np.uint64(32)).astype(np.intp)), axis=1)
-    cols = np.empty((count, e), dtype=np.intp)
-    for k, j in enumerate(range(n - e, n)):  # a pick already taken takes j instead
-        seen = (cols[:, :k] == picks[:, k, None]).any(axis=1)
-        cols[:, k] = np.where(seen, j, picks[:, k])
-    _swap_down(cols, picks[:, e:])
-    # integers(t) is Lemire's draw with nothing to reject, as t is a power of two
-    ints = (halves[:, ints_at] * np.uint64(t) >> np.uint64(32)).astype(int)
-    dense_rows, freq = ints[:, 0], ints[:, 1:]
-    phase = (words[:, reals_at] >> np.uint64(11)) * 2.0 ** -53
-    # a stream in which Lemire rejects a draw is rewound to its start, a full period of 2**128
-    # words less those read, and draws again by numpy's own calls
-    for i in np.flatnonzero(((m & _LOW_HALF) < (1 << 32) % spans).any(axis=1)):
-        streams[i].bit_generator.advance((1 << 128) - words.shape[1])
-        cols[i], dense_rows[i], freq[i], phase[i] = _numpy_draws(streams[i], n, t, e)
-    return cols, dense_rows, freq, phase
+    ints = (words[:, n:n + 1 + e] >> np.uint64(64 - (t.bit_length() - 1))).astype(np.intp)
+    phase = (words[:, n + 1 + e:] >> np.uint64(11)) * 2.0 ** -53
+    return np.argsort(words[:, :n], axis=1)[:, :e], ints[:, 0], ints[:, 1:], phase
 
 
 def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
@@ -328,8 +262,12 @@ def generate_test_signal(dims: GridDims, e_max_target: int, seed: int,
     except one shared row, so that row sees every column (support
     ``e_max_target``) while each remaining row loses at least one column
     (support strictly smaller). Requires the number of rows to be a power of
-    two, at least 4, with ``log2(t) <= e_max_target <= n``. ``seed`` is an int
-    >= 0, numpy's too. This is the one-seed case of the stack the harness draws.
+    two, at least 4, with ``log2(t) <= e_max_target <= n``. Its columns, dense
+    row, frequencies and phases come from the stream's raw PCG64 words by the
+    package's own rule, not by numpy's Generator methods.
+
+    ``seed`` is an int >= 0, opened as ``np.random.default_rng(seed)``. This is
+    the one-seed case of the stack the harness draws.
     """
     rngs = [np.random.default_rng(_int_at_least(seed, "seed", 0))]
     return Signal2D(dims=dims, values=_test_signals(dims, e_max_target, rngs, 1, profile_shape)[0])

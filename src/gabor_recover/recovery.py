@@ -67,8 +67,8 @@ DEFAULT_MAX_ITER = 100_000
 DEFAULT_CONV_TOL = 1e-12
 DEFAULT_FEAS_TOL = 1e-9
 # candidate row entries polished at once, as max(1, _POLISH_ENTRIES // n) rows of width n,
-# which bounds the polish's memory at every width; a trial chunk's 16384 entries
-# (experiments._CHUNK_ENTRIES) take one call
+# which bounds the polish's memory at every width; experiments sizes its trial chunks by it,
+# so that each takes one call
 _POLISH_ENTRIES = 1 << 14
 _GRAM_ENTRIES = 1 << 17  # stacked Gram entries solved at once
 

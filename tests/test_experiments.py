@@ -28,22 +28,22 @@ from gabor_recover.recovery import RecoveryStage, RowStatus, recover_rows, recov
 from gabor_recover.signal import GridDims, Signal2D, column_support_max, support, support_profile
 from gabor_recover.transforms import gabor_col, gabor_row
 
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-
-
 def skewed_one_column_at_a_time(dims, e_max, rng):
-    """A SkewedRows grid drawn one column at a time with numpy's scalar Generator calls and
-    scalar products: the stack's reference. ``rng`` is a Generator at its stream's start."""
+    """A SkewedRows grid drawn one column at a time from the raw words of ``rng``'s stream,
+    read one scalar at a time, with scalar products: the stack's reference. ``rng`` is a
+    Generator at its stream's start."""
     n, t = dims.n, dims.t
     levels = (np.sort(np.arange(e_max) % (t.bit_length() - 1)) + 1).tolist()
+    shift = 64 - (t.bit_length() - 1)  # a word's top log2(t) bits
+    words = [rng.bit_generator.random_raw() for _ in range(n + 1 + 2 * e_max)]
+    cols = sorted(range(n), key=lambda col: words[col])[:e_max]
+    dense_row = words[n] >> shift
     y = np.arange(t)
     grid = np.zeros((t, n), dtype=np.complex128)
-    cols = rng.choice(n, size=e_max, replace=False)
-    dense_row = int(rng.integers(t))
-    for col, level in zip(cols, levels):
+    for k, (col, level) in enumerate(zip(cols, levels)):
         step = t >> level
-        freq = int(rng.integers(t))
-        amp = np.exp(2j * np.pi * rng.random())
+        freq = words[n + 1 + k] >> shift
+        amp = np.exp(2j * np.pi * ((words[n + 1 + e_max + k] >> 11) * 2.0 ** -53))
         pair = amp * np.exp(-2j * np.pi * dense_row / (1 << level))
         grid[:, col] = (amp * np.exp(2j * np.pi * freq * y / t)
                         + pair * np.exp(2j * np.pi * ((freq + step) % t) * y / t))
@@ -201,13 +201,13 @@ class TestGenerateTestSignal:
             (3, 2): 0.9928178338658701 - 0.11963590079019626j,
             (4, 2): -0.9528359210080894 - 0.30348592658748774j}),
         (ProfileShape.SkewedRows, GridDims(n=5, t=4), 3, 7, {
-            (4, 0): 1.3342641459641091 - 0.4687634678541682j,
-            (2, 1): 1.9014662732916383 + 0.6200209766890221j,
-            (3, 1): 1.401301580553858 - 1.4270087176808905j,
-            (4, 2): 0.4687634678541686 + 1.3342641459641096j,
-            (2, 3): -1.9014662732916385 - 0.6200209766890217j,
-            (3, 3): 1.4013015805538578 - 1.4270087176808908j,
-            (4, 3): 1.8030276138182777 + 0.8655006781099406j}),
+            (0, 0): -1.161748119657185 + 0.8064374163399131j,
+            (3, 1): -1.9595466968288235 + 0.4002208677058794j,
+            (4, 1): 1.8899929083666587 + 0.6541611470606756j,
+            (0, 2): -0.8064374163399136 - 1.1617481196571853j,
+            (0, 3): -1.9681855359970983 - 0.35531070331727144j,
+            (3, 3): -1.9595466968288233 + 0.4002208677058796j,
+            (4, 3): -1.889992908366659 - 0.6541611470606752j}),
     ], ids=["uniform", "skewed"])
     def test_draws_are_frozen(self, shape, dims, e_max, seed, frozen):
         sig = generate_test_signal(dims, e_max, seed, shape)
@@ -231,12 +231,10 @@ class TestGenerateTestSignal:
     ], ids=["32x8", "256x8-extra-columns", "16x16-extra-columns", "5x4-e-twice-the-levels",
             "12x4-e-equals-n", "64x32", "10001x4-tail-shuffle"])
     def test_skewed_stack_matches_one_column_at_a_time(self, n, t, e_max, seeds):
-        # the stack reads each seed's draws from its raw words and builds every wave in one
-        # broadcast; each grid must equal numpy's scalar calls and scalar-product columns bit for
-        # bit, which an array product amp * rot does not at t >= 8. e_max == n gives Floyd a
-        # first draw in [0, 0], which takes no word, and 10001 > 10000 with 201 > 10001 // 50
-        # takes numpy's tail shuffle of arange(n) in place of Floyd's algorithm, which the stack
-        # draws by numpy's own calls
+        # the stack reads each seed's raw words as arrays and builds every wave in one
+        # broadcast; each grid must equal the words read one at a time and scalar-product
+        # columns bit for bit, which an array product amp * rot does not at t >= 8. e_max == n
+        # orders every column, and n = 10001 reads a wide stream
         dims, seeds = GridDims(n=n, t=t), range(300, 300 + seeds)
         stack = experiments._test_signals(dims, e_max, _streams(seeds), len(seeds),
                                           ProfileShape.SkewedRows)
@@ -244,62 +242,19 @@ class TestGenerateTestSignal:
             want = skewed_one_column_at_a_time(dims, e_max, np.random.default_rng(seed))
             assert grid.tobytes() == want.tobytes()
 
-    @staticmethod
-    def _stream_with_zero_words(first: int, inc: int):
-        """A Generator whose raw word ``first`` is 0, and the word after it too when ``inc`` is
-        ``2**64 + 1``: PCG64 outputs the xor of its new state's halves, rotated, so a state
-        with equal halves gives 0. The start state is that one stepped back ``first + 1``."""
-        mod, state = 1 << 128, 0
-        for _ in range(first + 1):
-            state = (state - inc) * pow(PCG64_MULT, -1, mod) % mod
-        rng = np.random.Generator(np.random.PCG64(0))
-        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        return rng
-
-    @staticmethod
-    def _words_taken(rng, draw) -> int:
-        """How many raw words ``draw(rng)`` takes from ``rng``'s stream."""
-        start = rng.bit_generator.state
-        draw(rng)
-        end = rng.bit_generator.state["state"]["state"]
-        replay = np.random.PCG64(0)
-        replay.state = start
-        for taken in range(64):
-            if replay.state["state"]["state"] == end:
-                return taken
-            replay.random_raw()
-        raise AssertionError("more than 64 words taken")
-
-    # n=32, e_max=3: Floyd draws in [0, 29], [0, 30], [0, 31], on halves 0-2, and the shuffle in
-    # [0, 2], [0, 1] on halves 3-4. A 0 half is rejected below 2**32 % 30 = 16 and
-    # 2**32 % 3 = 1, but not for [0, 31] or [0, 1], whose spans are powers of two.
-    @pytest.mark.parametrize("first, inc, extra", [
-        (0, 0x9E3779B97F4A7C15F39CC0605CEDC835, 1),
-        (1, 0x9E3779B97F4A7C15F39CC0605CEDC835, 0),
-        (0, (1 << 64) + 1, 2),
-    ], ids=["floyd-rejects-twice", "shuffle-rejects-once", "floyd-rejects-four-times"])
-    def test_skewed_draws_reject_as_numpy_does(self, first, inc, extra):
-        # Lemire's rejection redraws a 32-bit draw whose product's low half falls below
-        # 2**32 % span, so a rejecting stream must skip the same halves numpy's scalar calls
-        # skip, alone and between two streams that reject nothing
-        dims, e_max = GridDims(n=32, t=8), 3
-
-        def draw(rng):
-            return skewed_one_column_at_a_time(dims, e_max, rng)
-
-        # a stream without rejections takes `plain` words
-        plain = self._words_taken(np.random.default_rng(7), draw)
-        assert (self._words_taken(self._stream_with_zero_words(first, inc), draw)
-                == plain + extra)
-        for makes in ([lambda: self._stream_with_zero_words(first, inc)],
-                      [lambda: np.random.default_rng(7),
-                       lambda: self._stream_with_zero_words(first, inc),
-                       lambda: np.random.default_rng(8)]):
-            stack = experiments._test_signals(dims, e_max, [make() for make in makes],
-                                              len(makes), ProfileShape.SkewedRows)
-            for grid, make in zip(stack, makes):
-                assert grid.tobytes() == draw(make()).tobytes()
+    @pytest.mark.parametrize("n, t, e_max", [(32, 8, 3), (5, 4, 4)], ids=["32x8", "5x4"])
+    def test_skewed_draws_uniform_chisquare(self, n, t, e_max):
+        # over 4000 seeds each column is picked with frequency e_max / n, the first-listed
+        # column is uniform on [0, n), and the dense row and the frequencies on [0, t)
+        seeds = 4000
+        cols, dense_rows, freq, _ = experiments._skewed_draws(_streams(range(seeds)), seeds,
+                                                              n, t, e_max)
+        assert cols.shape == freq.shape == (seeds, e_max) and dense_rows.shape == (seeds,)
+        assert all(len(set(row)) == e_max for row in cols.tolist())
+        for draws, bins in ((cols, n), (cols[:, 0], n), (dense_rows, t), (freq, t)):
+            counts = np.bincount(draws.ravel(), minlength=bins)
+            assert len(counts) == bins
+            assert scipy_stats.chisquare(counts).pvalue > 1e-3
 
     @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
     @pytest.mark.parametrize("seed", [None, True, np.bool_(True), 3.0, 2.5, "3", -1],
