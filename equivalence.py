@@ -53,13 +53,13 @@ batches whose rows each exit at the same iteration), byte-identical
 ``report_to_json`` strings, bit-identical draws and masks and byte-identical
 artifacts; the largest drift of values (engine signals, recovered grid values and draws) apart from that
 of residuals (engine and report), with artifact float cells on a line of
-their own; every changed decision; and every engine batch or grid report
-whose bytes differ with no decision changed, with its largest drift of each
-kind, and every engine row that exits at another iteration. An engine or
-grid change names its ``max_iter`` and its direction: a converged flag comes
-with the head's relative error against the planted signal, and a row status
-with its counts of Failed->Recovered and Recovered->Failed rows. It exits 1
-when any decision changed, and 2 when a side fails to run.
+their own; every changed decision; and every engine batch, grid report or
+artifact whose bytes differ with no decision changed, with its largest drift
+of each kind, and every engine row that exits at another iteration. An engine
+or grid change names its ``max_iter`` and its direction: a converged flag
+comes with the head's relative error against the planted signal, and a row
+status with its counts of Failed->Recovered and Recovered->Failed rows. It
+exits 1 when any decision changed, and 2 when a side fails to run.
 """
 
 from __future__ import annotations
@@ -482,12 +482,14 @@ def compare_artifacts(base: Path, head: Path, tally: Tally) -> str:
         if not (b.is_file() and h.is_file()):
             tally.changed.append(f"artifact {name}: missing on one side")
             continue
-        identical += b.read_bytes() == h.read_bytes()
+        same = b.read_bytes() == h.read_bytes()
+        identical += same
         decisions, floats = _split_artifact(b, h)
         if decisions[0] != decisions[1] or len(floats[0]) != len(floats[1]):
             tally.changed.append(f"artifact {name}: an integer, boolean or empty cell")
-        else:
-            tally.float_drift("artifact floats", *floats)
+        elif not same:
+            drift = tally.float_drift("artifact floats", *floats)
+            tally.drifted.append(f"artifact {name}: float cells, by up to {drift:.3g}")
     return f"cli: {identical}/{len(names)} artifacts byte-identical ({len(CLI_RUNS) + 1} runs)"
 
 
