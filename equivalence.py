@@ -53,13 +53,14 @@ batches whose rows each exit at the same iteration), byte-identical
 ``report_to_json`` strings, bit-identical draws and masks and byte-identical
 artifacts; the largest drift of values (engine signals, recovered grid values and draws) apart from that
 of residuals (engine and report), with artifact float cells on a line of
-their own; every changed decision; and every engine batch, grid report or
-artifact whose bytes differ with no decision changed, with its largest drift
-of each kind, and every engine row that exits at another iteration. An engine
-or grid change names its ``max_iter`` and its direction: a converged flag
-comes with the head's relative error against the planted signal, and a row
-status with its counts of Failed->Recovered and Recovered->Failed rows. It
-exits 1 when any decision changed, and 2 when a side fails to run.
+their own; every changed decision; and every engine batch, grid report,
+draw group or artifact whose bytes differ with no decision changed, with its
+largest drift of each kind, and every engine row that exits at another
+iteration. An engine or grid change names its ``max_iter`` and its
+direction: a converged flag comes with the head's relative error against the
+planted signal, and a row status with its counts of Failed->Recovered and
+Recovered->Failed rows. It exits 1 when any decision changed, and 2 when a
+side fails to run.
 """
 
 from __future__ import annotations
@@ -402,13 +403,17 @@ def compare_draws(base: Path, head: Path, tally: Tally) -> str:
                                  f"{'base' if key in b.files else 'head'} side")
         for key in sorted(set(b.files) & set(h.files)):
             bk, hk = b[key], h[key]
-            tally.float_drift("values", bk, hk)
-            identical += sum(x.tobytes() == y.tobytes() for x, y in zip(bk, hk))
+            drift = tally.float_drift("values", bk, hk)
+            same = np.array([x.tobytes() == y.tobytes() for x, y in zip(bk, hk)])
+            identical += same.sum()
             total += len(bk)
             # a draw's support is a decision; its entries are of modulus about 1
-            moved = ((np.abs(bk) > 1e-9) != (np.abs(hk) > 1e-9)).any(axis=(1, 2)).sum()
-            if moved:
-                tally.changed.append(f"draw {key}: support of {moved}/{len(bk)} seeds")
+            moved = ((np.abs(bk) > 1e-9) != (np.abs(hk) > 1e-9)).any(axis=(1, 2))
+            if moved.any():
+                tally.changed.append(f"draw {key}: support of {moved.sum()}/{len(bk)} seeds")
+            if (~same & ~moved).any():
+                tally.drifted.append(f"draw {key}: values alone of {(~same & ~moved).sum()}/"
+                                     f"{len(bk)} seeds (the group's drift {drift:.3g})")
     return (f"draws: {identical}/{total} bit-identical "
             f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes and "
             f"SkewedRows at {TAIL_DRAW} x {TAIL_DRAW_SEEDS} seeds, one stream at a time and "
