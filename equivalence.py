@@ -44,7 +44,10 @@ imports that side's ``src/``. Both sides get the same inputs:
 
 A decision is a converged flag, a row status, a guarantee flag, whether a
 report recovered anything, its stage, a draw's support, a whole mask, and
-every integer, boolean, string or empty cell of an artifact. The script
+every integer, boolean, string or empty cell of an artifact. Each side must
+also agree with itself: every stacked draw or mask group equals its one-seed
+group, seed by seed, and a group that does not is a changed decision, named
+with its side, even when both sides stack alike. The script
 prints each side's ``src/`` line count (newlines in its ``.py`` files, as
 ``wc -l`` counts them); the counts of bit-identical engine outputs (and of
 engine batches whose signals and flags alone are, with the rows whose
@@ -395,8 +398,27 @@ def compare_grids(base: Path, head: Path, tally: Tally) -> str:
             f"({len(b_all)} grids, {column_stage} reaching the column stage)")
 
 
+def compare_stacks(sides: dict, tally: Tally) -> str:
+    """Require on each side that every ``stacked_*`` group equals its one-seed group, seed by
+    seed; a group that does not is a changed decision, named with its side."""
+    counts = []
+    for side, arrays in sides.items():
+        stacks = [key for key in arrays.files if key.startswith("stacked_")]
+        equal = 0
+        for key in stacks:
+            single = arrays[key.removeprefix("stacked_")]
+            apart = sum(x.tobytes() != y.tobytes() for x, y in zip(arrays[key], single))
+            equal += not apart
+            if apart:
+                tally.changed.append(f"{key} on the {side} side: {apart}/{len(single)} seeds "
+                                     f"differ from the one-seed group")
+        counts.append(f"{side} {equal}/{len(stacks)}")
+    return ", ".join(counts)
+
+
 def compare_draws(base: Path, head: Path, tally: Tally) -> str:
     with np.load(base / "draws.npz") as b, np.load(head / "draws.npz") as h:
+        stacks = compare_stacks({"base": b, "head": h}, tally)
         identical = total = 0
         for key in sorted(set(b.files) ^ set(h.files)):
             tally.changed.append(f"draw group {key}: only on the "
@@ -417,11 +439,13 @@ def compare_draws(base: Path, head: Path, tally: Tally) -> str:
     return (f"draws: {identical}/{total} bit-identical "
             f"({len(DRAW_SHAPES)} grid shapes x {DRAW_SEEDS} seeds x 2 profile shapes and "
             f"SkewedRows at {TAIL_DRAW} x {TAIL_DRAW_SEEDS} seeds, one stream at a time and "
-            f"stacked, in the groups both sides hold)")
+            f"stacked, in the groups both sides hold); stacked groups equal to their one-seed "
+            f"draws: {stacks}")
 
 
 def compare_masks(base: Path, head: Path, tally: Tally) -> str:
     with np.load(base / "masks.npz") as b, np.load(head / "masks.npz") as h:
+        stacks = compare_stacks({"base": b, "head": h}, tally)
         identical = 0
         for key in b.files:
             same = [x.tobytes() == y.tobytes() for x, y in zip(b[key], h[key])]
@@ -430,7 +454,8 @@ def compare_masks(base: Path, head: Path, tally: Tally) -> str:
                               if not ok]
     return (f"masks: {identical}/{len(b.files) * len(MASK_SEEDS)} bit-identical "
             f"({len(DRAW_SHAPES)} grid shapes x {len(MASK_SEEDS)} seeds, theta {MASK_THETA}, "
-            f"one seed at a time and stacked per seed group)")
+            f"one seed at a time and stacked per seed group); stacked groups equal to their "
+            f"one-seed masks: {stacks}")
 
 
 def _json_leaves(path: Path) -> list:

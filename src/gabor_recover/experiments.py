@@ -198,7 +198,7 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
     stream's raw PCG64 words by the package's own rule (:func:`_skewed_draws`), with no
     Generator method involved."""
     n, t = dims.n, dims.t
-    if not (1 <= e_max_target <= n):
+    if _int_at_least(e_max_target, "e_max_target") > n:
         raise ValueError(f"e_max_target must lie in [1, n={n}], got {e_max_target}")
     vals = np.zeros((count, t, n), dtype=np.complex128)
     # grids first in each zip, so that it takes no stream past the last
@@ -215,13 +215,7 @@ def _test_signals(dims: GridDims, e_max_target: int, rngs, count: int,
     levels = np.sort(np.arange(e_max_target) % _skewed_levels(t, e_max_target)) + 1
     cols, dense_rows, freq, phase = _skewed_draws(rngs, count, n, t, e_max_target)
     amp = np.exp(2j * np.pi * phase)
-    rot = np.exp(-2j * np.pi * dense_rows[:, None] / (1 << levels))
-    # amp * rot rounded as a scalar product: the array product may fuse a multiply-add in some
-    # lanes and not others, and a grid must not depend on where it sits in the stack (the
-    # tests build each column with scalar products)
-    pair = np.empty_like(amp)
-    pair.real = amp.real * rot.real - amp.imag * rot.imag
-    pair.imag = amp.real * rot.imag + amp.imag * rot.real
+    pair = np.exp(2j * np.pi * (phase - dense_rows[:, None] / (1 << levels)))
     # each column: two waves down the time axis, t >> level frequencies apart
     waves = np.exp(2j * np.pi * np.arange(t)[:, None] * np.arange(t) / t)  # row f: frequency f
     columns = amp[..., None] * waves[freq] + pair[..., None] * waves[(freq + (t >> levels)) % t]

@@ -76,6 +76,12 @@ class TestErasurePattern:
         c = full_row_pattern(DIMS, 2)
         assert a == b and a != c
 
+    @pytest.mark.parametrize("other", [0, object()], ids=["int", "object"])
+    def test_never_equals_another_type(self, other):
+        pattern = full_row_pattern(DIMS, 1)
+        assert not pattern == other
+        assert pattern != other
+
 
 class TestSampleErasure:
     def test_theta_zero_keeps_everything(self):

@@ -30,8 +30,8 @@ from gabor_recover.transforms import gabor_col, gabor_row
 
 def skewed_one_column_at_a_time(dims, e_max, rng):
     """A SkewedRows grid drawn one column at a time from the raw words of ``rng``'s stream,
-    read one scalar at a time, with scalar products: the stack's reference. ``rng`` is a
-    Generator at its stream's start."""
+    read one scalar at a time, each wave its own scalar exponential: the stack's reference.
+    ``rng`` is a Generator at its stream's start."""
     n, t = dims.n, dims.t
     levels = (np.sort(np.arange(e_max) % (t.bit_length() - 1)) + 1).tolist()
     shift = 64 - (t.bit_length() - 1)  # a word's top log2(t) bits
@@ -43,8 +43,9 @@ def skewed_one_column_at_a_time(dims, e_max, rng):
     for k, (col, level) in enumerate(zip(cols, levels)):
         step = t >> level
         freq = words[n + 1 + k] >> shift
-        amp = np.exp(2j * np.pi * ((words[n + 1 + e_max + k] >> 11) * 2.0 ** -53))
-        pair = amp * np.exp(-2j * np.pi * dense_row / (1 << level))
+        phase = (words[n + 1 + e_max + k] >> 11) * 2.0 ** -53
+        amp = np.exp(2j * np.pi * phase)
+        pair = np.exp(2j * np.pi * (phase - dense_row / (1 << level)))
         grid[:, col] = (amp * np.exp(2j * np.pi * freq * y / t)
                         + pair * np.exp(2j * np.pi * ((freq + step) % t) * y / t))
     return grid
@@ -232,9 +233,9 @@ class TestGenerateTestSignal:
             "12x4-e-equals-n", "64x32", "10001x4-tail-shuffle"])
     def test_skewed_stack_matches_one_column_at_a_time(self, n, t, e_max, seeds):
         # the stack reads each seed's raw words as arrays and builds every wave in one
-        # broadcast; each grid must equal the words read one at a time and scalar-product
-        # columns bit for bit, which an array product amp * rot does not at t >= 8. e_max == n
-        # orders every column, and n = 10001 reads a wide stream
+        # broadcast; each grid must equal the words read one at a time and each wave taken
+        # as a scalar exponential, bit for bit. e_max == n orders every column, and
+        # n = 10001 reads a wide stream
         dims, seeds = GridDims(n=n, t=t), range(300, 300 + seeds)
         stack = experiments._test_signals(dims, e_max, _streams(seeds), len(seeds),
                                           ProfileShape.SkewedRows)
@@ -264,6 +265,19 @@ class TestGenerateTestSignal:
         # None once drew OS entropy, so two equal calls gave different signals
         with pytest.raises(ValueError, match="seed must be"):
             generate_test_signal(GridDims(n=8, t=4), 2, seed, shape)
+
+    @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
+    @pytest.mark.parametrize("e_max", [True, 2.5, 2.0, "2"],
+                             ids=["bool", "float", "integral-float", "string"])
+    def test_rejects_e_max_target_that_is_not_an_integer(self, shape, e_max):
+        with pytest.raises(ValueError, match="e_max_target must be an integer"):
+            generate_test_signal(GridDims(n=8, t=4), e_max, 0, shape)
+
+    @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
+    def test_numpy_integer_e_max_target_reads_as_its_int(self, shape):
+        dims = GridDims(n=8, t=4)
+        assert (generate_test_signal(dims, np.int64(2), 5, shape).values.tobytes()
+                == generate_test_signal(dims, 2, 5, shape).values.tobytes())
 
     def test_numpy_integer_seed_reads_as_its_int(self):
         dims = GridDims(n=8, t=4)

@@ -77,6 +77,12 @@ class TestSignal2D:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize("other", [0, object()], ids=["int", "object"])
+    def test_never_equals_another_type(self, other):
+        sig = make(4, 3, {(0, 0): 1.0})
+        assert not sig == other
+        assert sig != other
+
     def test_max_modulus(self):
         sig = make(4, 3, {(1, 1): 3 + 4j, (2, 0): 1.0})
         assert sig.max_modulus() == pytest.approx(5.0)
